@@ -23,14 +23,20 @@ Cascade files are versioned JSON with the following normative field names::
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .integral import IntegralImage, Rect, RectOutOfBounds, padded_plane, rect_sums_grid
+from .integral import IntegralImage, Rect, RectOutOfBounds
 
 FORMAT_VERSION = 1
+
+# Surviving windows scored per gather in eval_grid. Bounds the (windows x
+# corners) index and value buffers to a few MB; results do not depend on it.
+GRID_BLOCK = 16_384
 
 
 class CascadeFormatError(ValueError):
@@ -86,6 +92,26 @@ class WeakClassifier:
             raise ValueError(f"polarity must be +/-1, got {self.polarity}")
 
 
+class StageCorners(NamedTuple):
+    """A stage compiled for `eval_grid`.
+
+    Every rectangle sum on a padded plane is four signed corner reads, so a
+    weak classifier's feature value is an integer combination of corners at
+    fixed offsets from the window origin. `dy`/`dx` are the distinct corners
+    of all the stage's weak classifiers, and `coef[i, j]` is weak j's summed
+    coefficient at corner i (an edge feature has 6 corners, a line feature 8,
+    a quad 9). The other fields hold each weak's stump parameters.
+    """
+
+    dy: np.ndarray          # (corners,) int64
+    dx: np.ndarray          # (corners,) int64
+    coef: np.ndarray        # (corners, weaks) float64, integer-valued
+    threshold: np.ndarray   # (weaks,) float64
+    polarity: np.ndarray    # (weaks,) float64, +/-1
+    vote_pass: np.ndarray   # (weaks,) float64
+    vote_fail: np.ndarray   # (weaks,) float64
+
+
 @dataclass(frozen=True)
 class Stage:
     weak: tuple[WeakClassifier, ...]
@@ -94,6 +120,33 @@ class Stage:
     def __post_init__(self):
         if not self.weak:
             raise ValueError("stage must contain at least one weak classifier")
+
+    @functools.cached_property
+    def corners(self) -> StageCorners:
+        """The stage compiled to corner offsets, built on first use."""
+        merged: dict[tuple[int, int], dict[int, int]] = {}
+        for j, weak in enumerate(self.weak):
+            for r, weight in weak.feature.rects:
+                for dy, dx, sign in ((r.y, r.x, 1), (r.y, r.x + r.w, -1),
+                                     (r.y + r.h, r.x, -1), (r.y + r.h, r.x + r.w, 1)):
+                    at = merged.setdefault((dy, dx), {})
+                    at[j] = at.get(j, 0) + sign * weight
+        # Corners whose coefficients all cancel are never read. Row-major
+        # order keeps each window's reads ascending in memory.
+        keep = sorted(yx for yx, at in merged.items() if any(at.values()))
+        coef = np.zeros((len(keep), len(self.weak)))
+        for i, yx in enumerate(keep):
+            for j, k in merged[yx].items():
+                coef[i, j] = k
+        # Feature values come out of a float64 matmul; they stay exact integers
+        # while every partial sum is below 2^53, i.e. plane entries < 2^32
+        # (the MAX_PIXELS guard) times summed |coefficients| < 2^21.
+        if np.abs(coef).sum(axis=0).max() >= 1 << 21:
+            raise ValueError("feature weights too large for exact evaluation")
+        dy, dx = np.array(keep, dtype=np.int64).reshape(-1, 2).T
+        params = np.array([(w.threshold, w.polarity, w.vote_pass, w.vote_fail)
+                           for w in self.weak], dtype=np.float64).T
+        return StageCorners(dy, dx, coef, *params)
 
 
 @dataclass(frozen=True)
@@ -214,47 +267,76 @@ def eval_grid(c: Cascade, psums: np.ndarray, psquares: np.ndarray | None,
               xs: np.ndarray, ys: np.ndarray):
     """Vectorized cascade evaluation at many window origins.
 
-    `psums`/`psquares` are padded planes from integral.padded_plane. Returns
-    (accepted bool array, rejecting/last stage index array, margin array),
-    bit-identical in decision and score to per-window eval_window.
+    `psums`/`psquares` are padded planes from integral.padded_plane. Each
+    stage is scored on the windows that passed the stages before it: one
+    flat gather reads the corners of `Stage.corners` at every surviving
+    origin, and one matmul with its coefficient matrix gives every weak
+    classifier's feature value. Windows are gathered in blocks of
+    GRID_BLOCK. Returns (accepted bool array, rejecting/last stage index
+    int32 array, float64 margin array), bit-identical in decision and score
+    to per-window eval_window.
     """
     n = xs.shape[0]
     accepted = np.ones(n, dtype=bool)
     stage_idx = np.zeros(n, dtype=np.int32)
     margins = np.zeros(n, dtype=np.float64)
+    stride = psums.shape[1]
+    base = ys * stride + xs
 
     if c.variance_normalization:
         if psquares is None:
             raise ValueError("variance normalization needs squared sums")
         area = c.window_w * c.window_h
-        s1 = rect_sums_grid(psums, xs, ys, c.window_w, c.window_h)
-        s2 = rect_sums_grid(psquares, xs, ys, c.window_w, c.window_h)
+        s1 = _window_sums(psums.ravel(), base, c.window_w, c.window_h * stride)
+        s2 = _window_sums(psquares.ravel(), base, c.window_w, c.window_h * stride)
         var = s2 / area - (s1 / area) ** 2
         norms = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0)
     else:
         norms = np.ones(n, dtype=np.float64)
 
+    plane = psums.ravel().astype(np.float64)
     alive = np.arange(n)
     for k, stage in enumerate(c.stages):
         if alive.size == 0:
             break
-        ax, ay = xs[alive], ys[alive]
-        scores = np.zeros(alive.size, dtype=np.float64)
-        for weak in stage.weak:
-            values = np.zeros(alive.size, dtype=np.int64)
-            for rect, weight in weak.feature.rects:
-                values += weight * rect_sums_grid(
-                    psums, ax + rect.x, ay + rect.y, rect.w, rect.h
-                )
-            passed = weak.polarity * (values - weak.threshold * norms[alive]) > 0
-            scores += np.where(passed, weak.vote_pass, weak.vote_fail)
-        stage_margin = scores - stage.threshold
-        margins[alive] = stage_margin
+        scores = _stage_scores(stage.corners, plane, stride, base[alive], norms[alive])
+        margins[alive] = scores - stage.threshold
         stage_idx[alive] = k
         rejected = scores < stage.threshold
         accepted[alive[rejected]] = False
         alive = alive[~rejected]
     return accepted, stage_idx, margins
+
+
+def _window_sums(flat: np.ndarray, base: np.ndarray, w: int, h_rows: int) -> np.ndarray:
+    """Window sums at flat origins `base`; `h_rows` is window height x stride."""
+    return (flat.take(base + h_rows + w) - flat.take(base + w)
+            - flat.take(base + h_rows) + flat.take(base))
+
+
+def _stage_scores(sc: StageCorners, plane: np.ndarray, stride: int,
+                  base: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """One stage's score at the windows with flat origins `base`.
+
+    Works on (corners or weaks) x windows blocks, so each weak's values,
+    test and votes are contiguous rows.
+    """
+    offsets = (sc.dy * stride + sc.dx)[:, None]
+    threshold, polarity = sc.threshold[:, None], sc.polarity[:, None]
+    vote_pass, vote_fail = sc.vote_pass[:, None], sc.vote_fail[:, None]
+    scores = np.zeros(base.size, dtype=np.float64)
+    for lo in range(0, base.size, GRID_BLOCK):
+        hi = lo + GRID_BLOCK
+        values = sc.coef.T @ plane.take(offsets + base[lo:hi])
+        passed = polarity * (values - threshold * norms[lo:hi]) > 0
+        votes = np.where(passed, vote_pass, vote_fail)
+        # Onto zeros, weak by weak in cascade order, as eval_window adds the
+        # votes: a numpy sum over the weaks may add them in another order
+        # and change margins in the last bit.
+        out = scores[lo:hi]
+        for row in votes:
+            out += row
+    return scores
 
 
 def _require(mapping: dict, key: str, context: str):

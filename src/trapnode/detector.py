@@ -1,14 +1,18 @@
 """Multi-scale detection pipeline: pyramid, scratchpad-budgeted tiling,
-parallel window scan, coordinate remapping, dedup, and size filtering.
+window scan, coordinate remapping, dedup, and size filtering.
 
+Each tile is scanned by `cascade.eval_grid`, which scores all of a tile's
+windows stage by stage from corner offsets compiled once per cascade stage.
 Tiles are independent read-only work items; a dispatcher hands them to a
-worker pool and the merged output is order-normalized, so the result is a
-pure function of (image, cascade, config) at any worker count.
+thread pool of at most `workers`, the tile count and the usable CPUs, and
+the merged output is order-normalized, so the result is a pure function of
+(image, cascade, config) at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -199,7 +203,8 @@ def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> list[TileHit
     ys = np.repeat(oy, ox.size)
     accepted, _, margins = eval_grid(c, psums, psquares, xs, ys)
     idx = np.flatnonzero(accepted)
-    return [TileHit(int(xs[i]), int(ys[i]), float(margins[i])) for i in idx]
+    return [TileHit(x, y, score) for x, y, score in
+            zip(xs[idx].tolist(), ys[idx].tolist(), margins[idx].tolist())]
 
 
 def _scan_level_tile(args):
@@ -213,6 +218,12 @@ def _scan_level_tile(args):
         if core.x <= gx < core.x + core.w and core.y <= gy < core.y + core.h:
             kept.append((gx, gy, hit.score))
     return kept
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _round_half_up(v: float) -> int:
@@ -245,7 +256,8 @@ def detect(img: GrayImage, c: Cascade,
     Hits are kept only when their origin falls in the emitting tile's core
     region, mapped back to original coordinates by the level scale factor
     (nearest-integer rounding), filtered by max_detection_px, and sorted by
-    (level, y, x). Output is identical for any `workers` value.
+    (level, y, x). Output is identical for any `workers` value; the scan
+    uses at most `workers` threads, one per tile and one per usable CPU.
 
     `group_iou` optionally merges mutually-overlapping detections across the
     whole output, keeping the highest score per group (off by default).
@@ -268,6 +280,7 @@ def detect(img: GrayImage, c: Cascade,
                                overlap=overlap, window=window):
             jobs.append((lvl, (c, level_img, tile, step)))
 
+    workers = min(workers, len(jobs), _usable_cpus())
     if workers == 1:
         results = [(lvl, _scan_level_tile(args)) for lvl, args in jobs]
     else:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from conftest import make_probe_cascade, random_image
 from trapnode.cascade import (Cascade, EmptyStage, HaarFeature, MissingField,
                               RectOutOfWindow, Stage, WeakClassifier,
                               cascade_from_json, cascade_to_json, eval_grid,
-                              eval_window, feature_value)
+                              eval_window, feature_value, load_cascade)
 from trapnode.imaging import GrayImage
 from trapnode.integral import Rect, build_integral, padded_plane
+from trapnode.synthetic import synth_scene
+from trapnode.trainer import TEMPLATES, enumerate_features
+
+BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
 
 
 # ----------------------------------------------------------------- oracle --
@@ -108,6 +113,81 @@ def test_eval_grid_matches_eval_window():
         assert bool(accepted[i]) == ref.accepted
         assert int(stages[i]) == ref.stage
         assert margins[i] == ref.score
+
+
+def assert_grid_matches_windows(cascade, ii, xs, ys):
+    got = eval_grid(cascade, padded_plane(ii),
+                    padded_plane(ii, squares=True) if cascade.variance_normalization else None,
+                    xs, ys)
+    accepted, stages, margins = got
+    assert (accepted.dtype, stages.dtype, margins.dtype) == (bool, np.int32, np.float64)
+    assert accepted.shape == stages.shape == margins.shape == xs.shape
+    for i in range(xs.size):
+        ref = eval_window(cascade, ii, (int(xs[i]), int(ys[i])))
+        assert bool(accepted[i]) == ref.accepted
+        assert int(stages[i]) == ref.stage
+        assert margins[i] == ref.score
+    return got
+
+
+def all_template_cascade(rng, variance_normalization: bool) -> Cascade:
+    """Four stages of 3-9 weaks drawn from every template, so merged corner
+    coefficients of +/-1, +/-2, +/-3 and +4 all occur."""
+    pools = [enumerate_features(20, 20, min_size=2, stride=2, templates=(t,))
+             for t in TEMPLATES]
+    # Feature values over a window of std s are about s * sqrt(area) in size.
+    scale = 1.0 if variance_normalization else 60.0
+    stages = []
+    for weak_count in (3, 5, 9, 7):
+        weaks = []
+        for j in range(weak_count):
+            pool = pools[j % len(pools)]
+            feature = pool[int(rng.integers(len(pool)))]
+            area = sum(r.area for r, _ in feature.rects)
+            weaks.append(WeakClassifier(
+                feature=feature,
+                threshold=float(rng.normal(0.0, 0.3 * scale * math.sqrt(area))),
+                polarity=int(rng.choice([-1, 1])),
+                vote_pass=float(rng.uniform(0.1, 1.0)),
+                vote_fail=float(-rng.uniform(0.1, 1.0)),
+            ))
+        stages.append(Stage(tuple(weaks), threshold=float(rng.uniform(-0.6, 0.0))))
+    return Cascade(20, 20, tuple(stages), variance_normalization)
+
+
+@pytest.mark.parametrize("variance_normalization", [True, False])
+def test_eval_grid_matches_eval_window_all_templates(variance_normalization):
+    rng = np.random.default_rng(40)
+    cascade = all_template_cascade(rng, variance_normalization)
+    coefs = {int(k) for stage in cascade.stages for k in np.unique(stage.corners.coef)}
+    assert {-3, -2, -1, 1, 2, 3, 4} <= coefs
+    img = random_image(rng, 52, 44)
+    ii = build_integral(img, with_squares=variance_normalization)
+    # A shuffled, non-grid subset of origins, as the trainer passes survivors.
+    origins = rng.permutation((52 - 20 + 1) * (44 - 20 + 1))[:500]
+    ys, xs = np.divmod(origins, 52 - 20 + 1)
+    accepted, stages, _ = assert_grid_matches_windows(cascade, ii, xs, ys)
+    assert accepted.any() and not accepted.all()
+    assert np.unique(stages).size == len(cascade.stages)
+
+    empty = np.zeros(0, dtype=np.int64)
+    assert_grid_matches_windows(cascade, ii, empty, empty)
+
+
+def test_eval_grid_matches_eval_window_on_bench_cascade():
+    # The fixed 13-stage, 64-weak trained cascade; its deep stages hold up to
+    # 9 weaks, where the order of adding votes decides the last bit.
+    cascade = load_cascade(BENCH_CASCADE)
+    rng = np.random.default_rng(41)
+    img, _ = synth_scene(320, 240, [22, 27], rng, clutter=True)
+    ii = build_integral(img, with_squares=True)
+    cols = img.width - cascade.window_w + 1
+    ys, xs = np.divmod(np.arange(cols * (img.height - cascade.window_h + 1)), cols)
+    _, stages, _ = eval_grid(cascade, padded_plane(ii), padded_plane(ii, squares=True),
+                             xs, ys)
+    deep = np.flatnonzero(stages >= 5)
+    assert deep.size
+    assert_grid_matches_windows(cascade, ii, xs[deep], ys[deep])
 
 
 def test_feature_value_zero_image_and_identity_scale():
