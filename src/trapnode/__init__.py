@@ -15,7 +15,7 @@ from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
 from .detector import (Detection, PyramidConfig, ScratchBudget, TileSpec,
                        build_pyramid, detect, plan_tiles, scan_tile)
 from .trainer import (TrainConfig, TrainSample, enumerate_features,
-                      train_cascade, train_stage, train_weak)
+                      feature_table, train_cascade, train_stage, train_weak)
 from .evaluator import EvalReport, GroundTruth, iou, match_detections
 from .mcu import (ComputeEngine, MemoryTier, PlatformModel, builtin_platform,
                   transfer_cycles)

@@ -299,7 +299,7 @@ def eval_grid(c: Cascade, psums: np.ndarray, psquares: np.ndarray | None,
     for k, stage in enumerate(c.stages):
         if alive.size == 0:
             break
-        scores = _stage_scores(stage.corners, plane, stride, base[alive], norms[alive])
+        scores = score_stage(stage.corners, plane, stride, base[alive], norms[alive])
         margins[alive] = scores - stage.threshold
         stage_idx[alive] = k
         rejected = scores < stage.threshold
@@ -314,9 +314,12 @@ def _window_sums(flat: np.ndarray, base: np.ndarray, w: int, h_rows: int) -> np.
             - flat.take(base + h_rows) + flat.take(base))
 
 
-def _stage_scores(sc: StageCorners, plane: np.ndarray, stride: int,
-                  base: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def score_stage(sc: StageCorners, plane: np.ndarray, stride: int,
+                base: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """One stage's score at the windows with flat origins `base`.
+
+    `plane` is a flat float64 padded plane of row pitch `stride`, `norms`
+    the windows' variance norms (ones when normalization is off).
 
     Works on (corners or weaks) x windows blocks, so each weak's values,
     test and votes are contiguous rows.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -299,12 +300,28 @@ def cmd_cnn(args) -> int:
 
 # ----------------------------------------------------------------- power --
 
+# The float flags of `power`; each must be a finite number.
+POWER_FLOAT_FLAGS = ("compute_mj", "camera_mj", "tx_mj_per_byte",
+                     "wake_overhead_mj", "wake_period", "detections_per_day",
+                     "sleep_uw", "battery_mah", "battery_v", "horizon_days")
+
+
+def _require_finite(what: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {value}")
+
+
 def _scenario_from_args(args):
+    for name in POWER_FLOAT_FLAGS:
+        _require_finite("--" + name.replace("_", "-"), getattr(args, name))
     if args.scenario:
         path = Path(args.scenario)
         if not path.is_file():
             raise InputError(f"scenario file not found: {path}")
         doc = json.loads(path.read_text(encoding="ascii"))
+        for section in ("phase_energy", "duty_cycle", "battery"):
+            for key, value in doc.get(section, {}).items():
+                _require_finite(f"{path}: {section}.{key}", value)
         pe = PhaseEnergy(**doc.get("phase_energy", {}))
         cfg = DutyCycleConfig(**doc.get("duty_cycle", {}))
         batt = Battery(**doc.get("battery", {}))

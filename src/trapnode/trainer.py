@@ -11,23 +11,46 @@ The stage is done once its false-positive rate drops to the per-stage
 target. Stage k trains against negatives that pass stages 1..k-1, mined from
 the windows the detector itself scans: every level of the default pyramid of
 every pool image, at a step of one pixel.
+
+The Haar feature pool is a numpy table (`feature_table`), one row of
+(x, y, w, h, weight) rectangles per feature. Each stage boosts over a random
+subsample of its rows. Their values on the stage's windows come from one
+matmul of the rows' rect-corner coefficients with the windows' stacked padded
+planes (`WindowStack`), and a `HaarFeature` is built only for the few rows
+boosting picks. Training windows and the FP probe are scored stage by stage
+with `cascade.score_stage`, the kernel `eval_grid` scans with.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import Cascade, HaarFeature, Stage, WeakClassifier, eval_grid
+from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier, eval_grid,
+                      score_stage)
 from .detector import PyramidConfig
 from .imaging import GrayImage, downscale
 from .integral import Rect, build_integral, padded_plane
 
-TEMPLATES = ("edge_h", "edge_v", "line_h", "line_v", "quad")
+# Per template: its width and height in unit rectangles (a x b), then each
+# rect's (x, y) offset in units and its weight.
+_TEMPLATE_UNITS = {
+    "edge_h": (2, 1, ((0, 0, 1), (1, 0, -1))),
+    "edge_v": (1, 2, ((0, 0, 1), (0, 1, -1))),
+    "line_h": (3, 1, ((0, 0, 1), (1, 0, -2), (2, 0, 1))),
+    "line_v": (1, 3, ((0, 0, 1), (0, 1, -2), (0, 2, 1))),
+    "quad": (2, 2, ((0, 0, 1), (1, 0, -1), (0, 1, -1), (1, 1, 1))),
+}
+TEMPLATES = tuple(_TEMPLATE_UNITS)
 
 MINING_BATCH = 16384
+# Features whose corner coefficients are built per matmul in
+# `WindowStack.table_matrix`. Bounds the coefficient buffer to about 14 MB
+# for 20x20 windows; results do not depend on it.
+FEATURE_BLOCK = 4096
 # Pool windows in the fixed FP probe, drawn across the whole pool grid.
 PROBE_SIZE = 16384
 # Share of the positives held out of boosting to calibrate stage thresholds.
@@ -67,60 +90,116 @@ class TrainConfig:
             raise ValueError("max_weak_per_stage must be >= 1")
 
 
-def enumerate_features(win_w: int, win_h: int, min_size: int = 1,
-                       stride: int = 1,
-                       templates: tuple[str, ...] = TEMPLATES) -> list[HaarFeature]:
-    """Deterministic enumeration of the five classical upright templates.
+def feature_table(win_w: int, win_h: int, min_size: int = 1, stride: int = 1,
+                  templates: tuple[str, ...] = TEMPLATES) -> np.ndarray:
+    """The Haar feature pool as an (n, 4, 5) int64 array.
 
-    `min_size` is the smallest unit-rectangle side, `stride` the step used
-    for both positions and unit sizes. Order: template, then unit size
-    (a, b), then position (y, x).
+    Row i holds feature i's rectangles as (x, y, w, h, weight); a feature
+    with fewer than four rectangles is padded with all-zero rows. The five
+    classical upright templates are enumerated in a fixed order: template,
+    then unit size (a, b), then position (y, x). `min_size` is the smallest
+    unit-rectangle side, `stride` the step for both positions and unit sizes.
     """
     if win_w < 2 or win_h < 2:
         raise ValueError("window must be at least 2x2")
-    feats: list[HaarFeature] = []
-
-    def emit(total_w, total_h, make_rects):
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
+    blocks = [np.zeros((0, 4, 5), dtype=np.int64)]
+    for template in templates:
+        if template not in _TEMPLATE_UNITS:
+            raise ValueError(f"unknown template {template!r}")
+        units_w, units_h, rects = _TEMPLATE_UNITS[template]
         for a in range(min_size, win_w + 1, stride):
-            if total_w(a) > win_w:
+            if units_w * a > win_w:
                 break
             for b in range(min_size, win_h + 1, stride):
-                tw, th = total_w(a), total_h(b)
-                if th > win_h:
+                if units_h * b > win_h:
                     break
-                for y in range(0, win_h - th + 1, stride):
-                    for x in range(0, win_w - tw + 1, stride):
-                        feats.append(HaarFeature(tuple(make_rects(x, y, a, b))))
+                ys, xs = np.mgrid[0 : win_h - units_h * b + 1 : stride,
+                                  0 : win_w - units_w * a + 1 : stride]
+                block = np.zeros((ys.size, 4, 5), dtype=np.int64)
+                for k, (ux, uy, weight) in enumerate(rects):
+                    block[:, k] = (ux * a, uy * b, a, b, weight)
+                    block[:, k, 0] += xs.ravel()
+                    block[:, k, 1] += ys.ravel()
+                blocks.append(block)
+    return np.concatenate(blocks)
 
-    for template in templates:
-        if template == "edge_h":
-            emit(lambda a: 2 * a, lambda b: b, lambda x, y, a, b: [
-                (Rect(x, y, a, b), 1), (Rect(x + a, y, a, b), -1)])
-        elif template == "edge_v":
-            emit(lambda a: a, lambda b: 2 * b, lambda x, y, a, b: [
-                (Rect(x, y, a, b), 1), (Rect(x, y + b, a, b), -1)])
-        elif template == "line_h":
-            emit(lambda a: 3 * a, lambda b: b, lambda x, y, a, b: [
-                (Rect(x, y, a, b), 1), (Rect(x + a, y, a, b), -2),
-                (Rect(x + 2 * a, y, a, b), 1)])
-        elif template == "line_v":
-            emit(lambda a: a, lambda b: 3 * b, lambda x, y, a, b: [
-                (Rect(x, y, a, b), 1), (Rect(x, y + b, a, b), -2),
-                (Rect(x, y + 2 * b, a, b), 1)])
-        elif template == "quad":
-            emit(lambda a: 2 * a, lambda b: 2 * b, lambda x, y, a, b: [
-                (Rect(x, y, a, b), 1), (Rect(x + a, y, a, b), -1),
-                (Rect(x, y + b, a, b), -1), (Rect(x + a, y + b, a, b), 1)])
-        else:
-            raise ValueError(f"unknown template {template!r}")
-    return feats
+
+def enumerate_features(win_w: int, win_h: int, min_size: int = 1,
+                       stride: int = 1,
+                       templates: tuple[str, ...] = TEMPLATES) -> list[HaarFeature]:
+    """`feature_table` as a list of `HaarFeature`s, in the same order."""
+    table = feature_table(win_w, win_h, min_size, stride, templates)
+    return [_row_feature(rects) for rects in table.tolist()]
+
+
+def _row_feature(rects: list[list[int]]) -> HaarFeature:
+    """The `HaarFeature` of one feature-table row (as nested lists)."""
+    return HaarFeature(tuple((Rect(x, y, w, h), weight)
+                             for x, y, w, h, weight in rects if weight))
+
+
+def _table_rows(features: Sequence[HaarFeature]) -> np.ndarray:
+    """Feature-table rows of a list of features."""
+    rows = np.zeros((len(features), 4, 5), dtype=np.int64)
+    for i, f in enumerate(features):
+        rows[i, : len(f.rects)] = [(r.x, r.y, r.w, r.h, w) for r, w in f.rects]
+    return rows
+
+
+class _TableFeatures(Sequence):
+    """Feature-table rows seen as `HaarFeature`s, each built when indexed.
+
+    Boosting picks a few features out of thousands, so only those are ever
+    built.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> HaarFeature:
+        return _row_feature(self.rows[i].tolist())
+
+
+def _draw_features(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of a random `fraction` of n features (all of them at 1)."""
+    if fraction >= 1.0:
+        return np.arange(n)
+    idx = rng.choice(n, size=max(1, int(n * fraction)), replace=False)
+    idx.sort()
+    return idx
+
+
+def _corner_coefficients(rows: np.ndarray, win_w: int, win_h: int) -> np.ndarray:
+    """(features, (win_h+1)(win_w+1)) float64 matrix of each feature's summed
+    rect-corner coefficients on a window's flattened padded plane, so that
+    feature values are one matmul with the planes."""
+    pitch = win_w + 1
+    coef = np.zeros((len(rows), (win_h + 1) * pitch))
+    feature = np.arange(len(rows))
+    x, y, w, h, weight = np.moveaxis(rows, 2, 0)
+    for k in range(rows.shape[1]):
+        for dy, dx, sign in ((0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)):
+            # One entry per feature, so no index repeats within a pass.
+            corner = (y[:, k] + dy * h[:, k]) * pitch + x[:, k] + dx * w[:, k]
+            coef[feature, corner] += sign * weight[:, k]
+    return coef
 
 
 class WindowStack:
-    """Padded integral planes for a batch of same-size windows.
+    """Padded integral planes of a batch of same-size windows, stacked.
 
-    Supports vectorized feature values and cascade-stage scores over the
-    batch; the arithmetic matches the scalar evaluation path bit for bit.
+    The planes are float64 and contiguous: window i's (h+1) x (w+1) plane
+    starts at flat offset i*(h+1)*(w+1), so each window is one origin on a
+    flat plane of row pitch w+1. Cascade stages are scored there by
+    `cascade.score_stage`, the kernel `eval_grid` scans with, and a feature
+    matrix is one matmul of rect-corner coefficients with the planes. Plane
+    entries and feature values are exact integers, so every result matches
+    the scalar evaluation path bit for bit.
     """
 
     def __init__(self, windows: np.ndarray, variance_normalization: bool = True):
@@ -129,13 +208,14 @@ class WindowStack:
         n, h, w = windows.shape
         px = windows.astype(np.int64)
         self.height, self.width = h, w
-        self.plane = np.zeros((n, h + 1, w + 1), dtype=np.int64)
-        self.plane[:, 1:, 1:] = px.cumsum(axis=1).cumsum(axis=2)
+        plane = np.zeros((n, h + 1, w + 1), dtype=np.float64)
+        plane[:, 1:, 1:] = px.cumsum(axis=1).cumsum(axis=2)
+        self.plane = plane.reshape(n, -1)
+        self.origins = np.arange(n) * self.plane.shape[1]
         if variance_normalization:
-            sq = (px * px).cumsum(axis=1).cumsum(axis=2)
             area = h * w
-            s1 = self.plane[:, h, w].astype(np.float64)
-            s2 = sq[:, h - 1, w - 1].astype(np.float64)
+            s1 = px.sum(axis=(1, 2)).astype(np.float64)
+            s2 = (px * px).sum(axis=(1, 2)).astype(np.float64)
             var = s2 / area - (s1 / area) ** 2
             self.norms = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0)
         else:
@@ -144,42 +224,40 @@ class WindowStack:
     def __len__(self) -> int:
         return self.plane.shape[0]
 
-    def _rect_sums(self, r: Rect) -> np.ndarray:
-        p = self.plane
-        return (p[:, r.y + r.h, r.x + r.w] - p[:, r.y, r.x + r.w]
-                - p[:, r.y + r.h, r.x] + p[:, r.y, r.x])
+    def table_matrix(self, rows: np.ndarray, normalized: bool) -> np.ndarray:
+        """(features x windows) values of the features in table `rows`,
+        divided by the window norms if `normalized`."""
+        values = np.empty((len(rows), len(self)))
+        for lo in range(0, len(rows), FEATURE_BLOCK):
+            block = rows[lo : lo + FEATURE_BLOCK]
+            coef = _corner_coefficients(block, self.width, self.height)
+            np.matmul(coef, self.plane.T, out=values[lo : lo + len(block)])
+        if normalized:
+            values /= self.norms
+        return values
 
-    def feature_values(self, f: HaarFeature) -> np.ndarray:
-        total = np.zeros(len(self), dtype=np.int64)
-        for rect, weight in f.rects:
-            total += weight * self._rect_sums(rect)
-        return total
-
-    def feature_matrix(self, features: list[HaarFeature],
+    def feature_matrix(self, features: Sequence[HaarFeature],
                        normalized: bool) -> np.ndarray:
-        out = np.empty((len(features), len(self)), dtype=np.float64)
-        for i, f in enumerate(features):
-            vals = self.feature_values(f).astype(np.float64)
-            out[i] = vals / self.norms if normalized else vals
-        return out
+        return self.table_matrix(_table_rows(features), normalized)
 
-    def stage_scores(self, stage: Stage) -> np.ndarray:
-        scores = np.zeros(len(self), dtype=np.float64)
-        for weak in stage.weak:
-            values = self.feature_values(weak.feature).astype(np.float64)
-            passed = weak.polarity * (values - weak.threshold * self.norms) > 0
-            scores += np.where(passed, weak.vote_pass, weak.vote_fail)
-        return scores
+    def stage_scores(self, stage: Stage, index: np.ndarray | None = None) -> np.ndarray:
+        """Stage scores of the windows numbered `index` (default: all)."""
+        if index is None:
+            index = np.arange(len(self))
+        return score_stage(stage.corners, self.plane.ravel(), self.width + 1,
+                           self.origins[index], self.norms[index])
 
     def cascade_pass(self, stages) -> np.ndarray:
-        alive = np.ones(len(self), dtype=bool)
+        """Mask of the windows that pass every stage; each stage scores only
+        the windows that passed the ones before it."""
+        alive = np.arange(len(self))
         for stage in stages:
-            if not alive.any():
+            if not alive.size:
                 break
-            idx = np.flatnonzero(alive)
-            sub_scores = self.stage_scores(stage)[idx]
-            alive[idx[sub_scores < stage.threshold]] = False
-        return alive
+            alive = alive[~(self.stage_scores(stage, alive) < stage.threshold)]
+        passed = np.zeros(len(self), dtype=bool)
+        passed[alive] = True
+        return passed
 
 
 @dataclass(frozen=True)
@@ -307,7 +385,9 @@ class _PoolProbe:
     """Fixed pool sample used to hold every stage to its FP target.
 
     Keeps stage scores for the still-alive windows incrementally, so checking
-    a candidate threshold costs one comparison pass. The raw windows stay
+    a candidate threshold costs one comparison pass: each new weak classifier
+    is scored on the alive windows as a one-weak stage, and its votes are
+    added weak by weak, as `eval_window` adds them. The raw windows stay
     around because stages train on a sample of the still-alive ones.
     """
 
@@ -325,9 +405,7 @@ class _PoolProbe:
         idx = np.flatnonzero(self.alive)
         if not idx.size:
             return
-        values = self.stack.feature_values(weak.feature).astype(np.float64)[idx]
-        passed = weak.polarity * (values - weak.threshold * self.stack.norms[idx]) > 0
-        self.scores[idx] += np.where(passed, weak.vote_pass, weak.vote_fail)
+        self.scores[idx] += self.stack.stage_scores(Stage((weak,), 0.0), idx)
 
     def fp_rate(self, threshold: float) -> float:
         idx = np.flatnonzero(self.alive)
@@ -345,7 +423,7 @@ class _PoolProbe:
 
 
 def _boost_stage(matrix: np.ndarray, positive: np.ndarray,
-                 features: list[HaarFeature], cfg: TrainConfig,
+                 features: Sequence[HaarFeature], cfg: TrainConfig,
                  probe: _PoolProbe | None = None,
                  calibration: np.ndarray | None = None) -> StageResult:
     """Boost one stage over the columns of `matrix` (feature x sample).
@@ -435,22 +513,11 @@ def train_stage(samples: list[TrainSample], cfg: TrainConfig) -> StageResult:
     positive = np.array([s.positive for s in samples])
     stack = WindowStack(windows, cfg.variance_normalization)
     win_h, win_w = windows.shape[1:]
-    features = enumerate_features(win_w, win_h, cfg.feature_min_size,
-                                  cfg.feature_stride)
-    features = _subsample_features(features, cfg.feature_subsample,
-                                   np.random.default_rng(cfg.seed))
-    matrix = stack.feature_matrix(features, cfg.variance_normalization)
-    return _boost_stage(matrix, positive, features, cfg)
-
-
-def _subsample_features(features: list[HaarFeature], fraction: float,
-                        rng: np.random.Generator) -> list[HaarFeature]:
-    if fraction >= 1.0:
-        return features
-    count = max(1, int(len(features) * fraction))
-    idx = rng.choice(len(features), size=count, replace=False)
-    idx.sort()
-    return [features[i] for i in idx]
+    table = feature_table(win_w, win_h, cfg.feature_min_size, cfg.feature_stride)
+    rows = table[_draw_features(len(table), cfg.feature_subsample,
+                                np.random.default_rng(cfg.seed))]
+    matrix = stack.table_matrix(rows, cfg.variance_normalization)
+    return _boost_stage(matrix, positive, _TableFeatures(rows), cfg)
 
 
 def _mining_batches(neg_images: list[GrayImage], win_w: int, win_h: int,
@@ -631,8 +698,7 @@ def train_cascade(pos: list[GrayImage], neg_pool: list[GrayImage],
                     replace=False)] = True
     cal_windows, pos_windows = pos_windows[held], pos_windows[~held]
 
-    all_features = enumerate_features(win_w, win_h, cfg.feature_min_size,
-                                      cfg.feature_stride)
+    table = feature_table(win_w, win_h, cfg.feature_min_size, cfg.feature_stride)
     n_per_stage = cfg.negatives_per_stage or len(pos)
 
     grid = _PoolGrid(neg_pool, win_w, win_h)
@@ -657,14 +723,14 @@ def train_cascade(pos: list[GrayImage], neg_pool: list[GrayImage],
             pool_exhausted = True
             break
 
-        features = _subsample_features(all_features, cfg.feature_subsample, rng)
+        rows = table[_draw_features(len(table), cfg.feature_subsample, rng)]
         windows = np.concatenate([pos_windows, neg_windows, cal_windows])
         ns = len(pos_windows) + len(neg_windows)
         positive = np.zeros(ns, dtype=bool)
         positive[: len(pos_windows)] = True
         stack = WindowStack(windows, cfg.variance_normalization)
-        matrix = stack.feature_matrix(features, cfg.variance_normalization)
-        result = _boost_stage(matrix[:, :ns], positive, features, cfg,
+        matrix = stack.table_matrix(rows, cfg.variance_normalization)
+        result = _boost_stage(matrix[:, :ns], positive, _TableFeatures(rows), cfg,
                               probe=probe, calibration=matrix[:, ns:])
         stages.append(result.stage)
 

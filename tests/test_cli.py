@@ -195,3 +195,38 @@ def test_power_rerun_byte_identical(tmp_path):
     a = run_to_file(["power"], tmp_path / "p1.csv")
     b = run_to_file(["power"], tmp_path / "p2.csv")
     assert a == b
+
+
+POWER_FLOATS = ["--compute-mj", "--camera-mj", "--tx-mj-per-byte",
+                "--wake-overhead-mj", "--wake-period", "--detections-per-day",
+                "--sleep-uw", "--battery-mah", "--battery-v", "--horizon-days"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", POWER_FLOATS)
+def test_power_rejects_non_finite_flags(flag, value, tmp_path, capsys):
+    rc = main(["power", f"{flag}={value}", "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("section,key", [("phase_energy", "compute_mj"),
+                                         ("duty_cycle", "wake_period_s"),
+                                         ("battery", "capacity_mah"),
+                                         ("battery", "voltage_v")])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_power_rejects_non_finite_scenario_numbers(section, key, literal,
+                                                   tmp_path, capsys):
+    data_dir = Path(__file__).parent.parent / "src" / "trapnode" / "data"
+    doc = json.loads((data_dir / "scenario_gap9_viola_low.json").read_text())
+    doc[section][key] = "LITERAL"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc).replace('"LITERAL"', literal))
+    rc = main(["power", "--scenario", str(scenario)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{section}.{key}" in err

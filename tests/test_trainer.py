@@ -1,17 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trapnode.cascade import Cascade, eval_window
+from trapnode.cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
+                              eval_grid, eval_window, feature_value, load_cascade,
+                              window_norm)
 from trapnode.detector import PyramidConfig, build_pyramid
 from trapnode.imaging import GrayImage
-from trapnode.integral import build_integral
-from trapnode.synthetic import synth_moth_window, synth_negative_images
-from trapnode.trainer import (TrainConfig, TrainSample, WindowStack, best_stump,
-                              enumerate_features, train_cascade, train_stage,
-                              train_weak, _alpha, _boost_stage, _mine_negatives,
-                              _PoolGrid)
+from trapnode.integral import Rect, build_integral, padded_plane
+from trapnode.synthetic import synth_moth_window, synth_negative_images, synth_scene
+from trapnode.trainer import (TEMPLATES, TrainConfig, TrainSample, WindowStack,
+                              best_stump, enumerate_features, feature_table,
+                              train_cascade, train_stage, train_weak, _alpha,
+                              _boost_stage, _mine_negatives, _PoolGrid, _PoolProbe)
+
+BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
 
 
 # ---------------------------------------------------------------- oracles --
@@ -22,6 +27,57 @@ def closed_form_edge_h_count(win: int) -> int:
         for b in range(1, win + 1):
             total += (win - 2 * a + 1) * (win - b + 1)
     return total
+
+
+def oracle_enumerate_features(win_w, win_h, min_size=1, stride=1,
+                              templates=TEMPLATES):
+    """Scalar nested-loop enumeration: template, unit size (a, b), then
+    position (y, x)."""
+    if win_w < 2 or win_h < 2:
+        raise ValueError("window must be at least 2x2")
+    feats = []
+
+    def emit(total_w, total_h, make_rects):
+        for a in range(min_size, win_w + 1, stride):
+            if total_w(a) > win_w:
+                break
+            for b in range(min_size, win_h + 1, stride):
+                tw, th = total_w(a), total_h(b)
+                if th > win_h:
+                    break
+                for y in range(0, win_h - th + 1, stride):
+                    for x in range(0, win_w - tw + 1, stride):
+                        feats.append(HaarFeature(tuple(make_rects(x, y, a, b))))
+
+    for template in templates:
+        if template == "edge_h":
+            emit(lambda a: 2 * a, lambda b: b, lambda x, y, a, b: [
+                (Rect(x, y, a, b), 1), (Rect(x + a, y, a, b), -1)])
+        elif template == "edge_v":
+            emit(lambda a: a, lambda b: 2 * b, lambda x, y, a, b: [
+                (Rect(x, y, a, b), 1), (Rect(x, y + b, a, b), -1)])
+        elif template == "line_h":
+            emit(lambda a: 3 * a, lambda b: b, lambda x, y, a, b: [
+                (Rect(x, y, a, b), 1), (Rect(x + a, y, a, b), -2),
+                (Rect(x + 2 * a, y, a, b), 1)])
+        elif template == "line_v":
+            emit(lambda a: a, lambda b: 3 * b, lambda x, y, a, b: [
+                (Rect(x, y, a, b), 1), (Rect(x, y + b, a, b), -2),
+                (Rect(x, y + 2 * b, a, b), 1)])
+        elif template == "quad":
+            emit(lambda a: 2 * a, lambda b: 2 * b, lambda x, y, a, b: [
+                (Rect(x, y, a, b), 1), (Rect(x + a, y, a, b), -1),
+                (Rect(x, y + b, a, b), -1), (Rect(x + a, y + b, a, b), 1)])
+        else:
+            raise ValueError(f"unknown template {template!r}")
+    return feats
+
+
+def table_of(features):
+    """Feature-table rows written out from `HaarFeature`s, zero-padded."""
+    rows = [[(r.x, r.y, r.w, r.h, w) for r, w in f.rects] for f in features]
+    return np.array([r + [(0, 0, 0, 0, 0)] * (4 - len(r)) for r in rows],
+                    dtype=np.int64).reshape(-1, 4, 5)
 
 
 def exhaustive_stump_error(values: np.ndarray, positive: np.ndarray,
@@ -75,6 +131,29 @@ def test_enumeration_stride_and_min_size():
     dense = enumerate_features(8, 8)
     sparse = enumerate_features(8, 8, min_size=2, stride=2)
     assert len(sparse) < len(dense)
+
+
+@pytest.mark.parametrize("window", [(20, 20), (8, 8), (2, 2), (21, 17)])
+@pytest.mark.parametrize("min_size,stride", [(1, 1), (2, 2), (2, 3)])
+def test_feature_table_matches_scalar_enumeration(window, min_size, stride):
+    alone = {(t,): oracle_enumerate_features(*window, min_size, stride, (t,))
+             for t in TEMPLATES}
+    # The oracle enumerates template by template.
+    alone[TEMPLATES] = [f for t in TEMPLATES for f in alone[(t,)]]
+    for templates, expected in alone.items():
+        table = feature_table(*window, min_size, stride, templates)
+        assert table.dtype == np.int64 and table.shape == (len(expected), 4, 5)
+        assert np.array_equal(table, table_of(expected))
+        assert enumerate_features(*window, min_size, stride, templates) == expected
+
+
+def test_feature_table_rejects_bad_arguments():
+    for make in (feature_table, enumerate_features, oracle_enumerate_features):
+        with pytest.raises(ValueError, match="unknown template"):
+            make(8, 8, templates=("edge_h", "diagonal"))
+        for w, h in ((1, 8), (8, 1), (1, 1)):
+            with pytest.raises(ValueError, match="at least 2x2"):
+                make(w, h)
 
 
 # ------------------------------------------------------------ weak stumps --
@@ -149,6 +228,101 @@ def test_train_weak_full_matrix_oracle():
 def test_alpha_formula():
     # epsilon = 0.25: beta = 1/3, alpha = ln 3
     assert _alpha(0.25) == pytest.approx(math.log(3.0))
+
+
+# ---------------------------------------------------------- window stack --
+
+def all_template_stages(rng, variance_normalization):
+    """Three stages of 2-8 weaks drawn from every template."""
+    pools = [enumerate_features(20, 20, min_size=2, stride=2, templates=(t,))
+             for t in TEMPLATES]
+    scale = 1.0 if variance_normalization else 60.0
+    stages = []
+    for weak_count in (2, 5, 8):
+        weaks = []
+        for j in range(weak_count):
+            pool = pools[j % len(pools)]
+            feature = pool[int(rng.integers(len(pool)))]
+            area = sum(r.area for r, _ in feature.rects)
+            weaks.append(WeakClassifier(
+                feature, float(rng.normal(0.0, 0.3 * scale * math.sqrt(area))),
+                int(rng.choice([-1, 1])), float(rng.uniform(0.1, 1.0)),
+                float(-rng.uniform(0.1, 1.0))))
+        stages.append(Stage(tuple(weaks), float(rng.uniform(-0.6, 0.0))))
+    return stages
+
+
+def assert_stack_matches_eval_window(windows, cascade):
+    """`WindowStack` stage scores, cascade pass and FP probe against scalar
+    `eval_window` on each window, bit for bit."""
+    vn = cascade.variance_normalization
+    stack = WindowStack(windows, vn)
+    iis = [build_integral(GrayImage(w), with_squares=vn) for w in windows]
+    verdicts = [eval_window(cascade, ii, (0, 0)) for ii in iis]
+    assert np.array_equal(stack.cascade_pass(cascade.stages),
+                          [v.accepted for v in verdicts])
+    probe = _PoolProbe(windows, vn)
+    for k, stage in enumerate(cascade.stages):
+        one = Cascade(cascade.window_w, cascade.window_h, (stage,), vn)
+        margins = np.array([eval_window(one, ii, (0, 0)).score for ii in iis])
+        assert np.array_equal(stack.stage_scores(stage) - stage.threshold, margins)
+        # The margin of the stage that rejected a window, or of the last one.
+        stopped = np.array([v.stage == k for v in verdicts])
+        assert np.array_equal(margins[stopped],
+                              [v.score for v in verdicts if v.stage == k])
+        subset = np.flatnonzero(probe.alive)
+        assert np.array_equal(stack.stage_scores(stage, subset) - stage.threshold,
+                              margins[subset])
+        probe.begin_stage()
+        for weak in stage.weak:
+            probe.add_weak(weak)
+        assert np.array_equal(probe.alive_scores() - stage.threshold,
+                              margins[probe.alive])
+        probe.commit_stage(stage.threshold)
+    assert np.array_equal(probe.alive, [v.accepted for v in verdicts])
+
+
+@pytest.mark.parametrize("variance_normalization", [True, False])
+def test_window_stack_matches_scalar_path(variance_normalization):
+    rng = np.random.default_rng(62)
+    windows = rng.integers(0, 256, size=(80, 20, 20), dtype=np.uint8)
+    windows[:3] = 90  # flat windows take the unit norm
+    stages = all_template_stages(rng, variance_normalization)
+    features = [w.feature for s in stages for w in s.weak]
+
+    stack = WindowStack(windows, variance_normalization)
+    matrix = stack.feature_matrix(features, normalized=variance_normalization)
+    assert matrix.shape == (len(features), len(windows))
+    for i, window in enumerate(windows):
+        ii = build_integral(GrayImage(window), with_squares=True)
+        values = np.array([feature_value(f, ii, (0, 0)) for f in features],
+                          dtype=np.float64)
+        if variance_normalization:
+            values = values / window_norm(ii, 0, 0, 20, 20)
+        assert np.array_equal(matrix[:, i], values)
+
+    cascade = Cascade(20, 20, tuple(stages), variance_normalization)
+    verdicts = stack.cascade_pass(stages)
+    assert verdicts.any() and not verdicts.all()
+    assert_stack_matches_eval_window(windows, cascade)
+
+
+def test_window_stack_matches_scalar_path_on_bench_cascade():
+    # The fixed 13-stage, 64-weak trained cascade, on the windows of one
+    # scan frame that get past its first five stages.
+    cascade = load_cascade(BENCH_CASCADE)
+    rng = np.random.default_rng(41)
+    img, _ = synth_scene(320, 240, [22, 27], rng, clutter=True)
+    ii = build_integral(img, with_squares=True)
+    cols = img.width - 20 + 1
+    ys, xs = np.divmod(np.arange(cols * (img.height - 20 + 1)), cols)
+    _, reached, _ = eval_grid(cascade, padded_plane(ii),
+                              padded_plane(ii, squares=True), xs, ys)
+    deep = np.flatnonzero(reached >= 5)
+    assert deep.size
+    windows = np.stack([img.pixels[y : y + 20, x : x + 20]
+                        for x, y in zip(xs[deep], ys[deep])])
+    assert_stack_matches_eval_window(windows, cascade)
 
 
 # ----------------------------------------------------------------- stages --
