@@ -10,6 +10,7 @@ violations raised by the models.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -311,6 +312,57 @@ def _require_finite(what: str, value) -> None:
         raise InputError(f"{what} must be a finite number, got {value}")
 
 
+# Scenario file sections, each the keyword arguments of one power model.
+SCENARIO_SECTIONS = {"phase_energy": PhaseEnergy, "duty_cycle": DutyCycleConfig,
+                     "battery": Battery}
+
+
+def _scenario_section(path: Path, section: str, values, model):
+    """One scenario section as its power model. Keys must be the model's
+    fields, a str field takes a string, every other a finite number."""
+    if not isinstance(values, dict):
+        raise InputError(f"{path}: {section} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(model)}
+    for key, value in values.items():
+        if key not in fields:
+            raise InputError(f"{path}: unknown key {section}.{key}")
+        what = f"{path}: {section}.{key}"
+        if fields[key].type == "str":
+            if not isinstance(value, str):
+                raise InputError(f"{what} must be a string, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{what} must be a number, got {value!r}")
+        elif not abs(value) <= sys.float_info.max:
+            raise InputError(f"{what} must be a finite number, got {value}")
+    for name, field in fields.items():
+        if name not in values and field.default is dataclasses.MISSING:
+            raise InputError(f"{path}: {section}.{name} is missing")
+    return model(**values)
+
+
+def _read_trace(path: Path) -> list[float]:
+    """Arrival times in seconds, whitespace-separated; each must be a finite
+    number."""
+    if not path.is_file():
+        raise InputError(f"trace file not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    trace = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for token in line.split():
+            try:
+                t = float(token)
+            except ValueError:
+                t = math.nan
+            if not math.isfinite(t):
+                raise InputError(f"{path}:{lineno}: arrival time must be a "
+                                 f"finite number, got {token!r}")
+            trace.append(t)
+    return trace
+
+
 def _scenario_from_args(args):
     for name in POWER_FLOAT_FLAGS:
         _require_finite("--" + name.replace("_", "-"), getattr(args, name))
@@ -318,14 +370,17 @@ def _scenario_from_args(args):
         path = Path(args.scenario)
         if not path.is_file():
             raise InputError(f"scenario file not found: {path}")
-        doc = json.loads(path.read_text(encoding="ascii"))
-        for section in ("phase_energy", "duty_cycle", "battery"):
-            for key, value in doc.get(section, {}).items():
-                _require_finite(f"{path}: {section}.{key}", value)
-        pe = PhaseEnergy(**doc.get("phase_energy", {}))
-        cfg = DutyCycleConfig(**doc.get("duty_cycle", {}))
-        batt = Battery(**doc.get("battery", {}))
-        return pe, cfg, batt
+        try:
+            doc = json.loads(path.read_text(encoding="ascii"))
+        except ValueError as exc:  # bad encoding, syntax or number
+            raise InputError(f"{path}: malformed JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise InputError(f"{path}: a scenario must be a JSON object")
+        for section in doc:
+            if section not in SCENARIO_SECTIONS:
+                raise InputError(f"{path}: unknown section {section!r}")
+        return tuple(_scenario_section(path, section, doc.get(section, {}), model)
+                     for section, model in SCENARIO_SECTIONS.items())
     pe = PhaseEnergy(compute_mj=args.compute_mj, camera_mj=args.camera_mj,
                      tx_mj_per_byte=args.tx_mj_per_byte,
                      wake_overhead_mj=args.wake_overhead_mj)
@@ -356,10 +411,7 @@ def cmd_power(args) -> int:
     lines = manifest_lines("power", params, inputs)
 
     if args.simulate:
-        trace_path = Path(args.simulate)
-        if not trace_path.is_file():
-            raise InputError(f"trace file not found: {trace_path}")
-        trace = [float(l) for l in trace_path.read_text().split()]
+        trace = _read_trace(Path(args.simulate))
         result = simulate(pe, cfg, batt, trace, args.horizon_days)
         lines.append("t_s,new_detections,wake_mj,battery_j_left")
         for ev in result.timeline:

@@ -51,6 +51,9 @@ MINING_BATCH = 16384
 # `WindowStack.table_matrix`. Bounds the coefficient buffer to about 14 MB
 # for 20x20 windows; results do not depend on it.
 FEATURE_BLOCK = 4096
+# Feature rows per block of `StumpSearcher.best`. A block's temporaries stay
+# in cache; results do not depend on it.
+STUMP_BLOCK = 64
 # Pool windows in the fixed FP probe, drawn across the whole pool grid.
 PROBE_SIZE = 16384
 # Share of the positives held out of boosting to calibrate stage thresholds.
@@ -276,6 +279,12 @@ class StumpSearcher:
     thresholds sit on sample values (plus sentinels past the extremes),
     matching the strict comparisons used at evaluation time. Ties resolve to
     the lowest feature index, polarity +1 before -1, smaller cut first.
+
+    `best` scans the features in blocks of `STUMP_BLOCK` rows, so each
+    block's (rows x cuts) temporaries stay in cache. A block's winner
+    replaces the running best only if its error is strictly lower, which
+    keeps the lowest feature index across block edges; the result is the
+    one a scan of the whole matrix at once gives.
     """
 
     def __init__(self, values: np.ndarray, positive: np.ndarray):
@@ -296,21 +305,34 @@ class StumpSearcher:
         total_pos = w_pos.sum()
         total = total_pos + w_neg.sum()
 
-        cpos = w_pos[self.order].cumsum(axis=1)
-        cneg = w_neg[self.order].cumsum(axis=1)
-        # Polarity +1 predicts positive on [c, ns); error at cut c.
-        err_plus = np.empty((nf, ns + 1), dtype=np.float64)
-        err_plus[:, 0] = total - total_pos
-        err_plus[:, 1:] = cpos + (total - total_pos) - cneg
-        err_minus = total - err_plus  # complementary split, polarity -1
+        error, fi, cut = np.inf, 0, 0
+        for lo in range(0, nf, STUMP_BLOCK):
+            rows = slice(lo, lo + STUMP_BLOCK)
+            order = self.order[rows]
+            cpos = w_pos[order].cumsum(axis=1)
+            cneg = w_neg[order].cumsum(axis=1)
+            # Polarity +1 predicts positive on [c, ns); error at cut c.
+            err_plus = np.empty((order.shape[0], ns + 1), dtype=np.float64)
+            err_plus[:, 0] = total - total_pos
+            err_plus[:, 1:] = cpos + (total - total_pos) - cneg
+            err_minus = total - err_plus  # complementary split, polarity -1
 
-        err_plus = np.where(self.valid, err_plus, np.inf)
-        err_minus = np.where(self.valid, err_minus, np.inf)
-        both = np.concatenate([err_plus, err_minus], axis=1)
-        best_cut = np.argmin(both, axis=1)
-        per_feature = both[np.arange(nf), best_cut]
-        fi = int(np.argmin(per_feature))
-        cut = int(best_cut[fi])
+            valid = self.valid[rows]
+            err_plus = np.where(valid, err_plus, np.inf)
+            err_minus = np.where(valid, err_minus, np.inf)
+            at = np.arange(order.shape[0])
+            cut_plus = np.argmin(err_plus, axis=1)
+            cut_minus = np.argmin(err_minus, axis=1)
+            e_plus = err_plus[at, cut_plus]
+            e_minus = err_minus[at, cut_minus]
+            # Polarity +1 wins ties, then the lowest feature index.
+            minus = e_minus < e_plus
+            per_feature = np.where(minus, e_minus, e_plus)
+            j = int(np.argmin(per_feature))
+            if per_feature[j] < error:
+                error, fi = float(per_feature[j]), lo + j
+                cut = (int(cut_minus[j]) + ns + 1 if minus[j]
+                       else int(cut_plus[j]))
         sv = self.sorted_values[fi]
         if cut <= ns:
             polarity = 1
@@ -319,7 +341,7 @@ class StumpSearcher:
             polarity = -1
             c = cut - (ns + 1)
             threshold = float(sv[c]) if c < ns else float(sv[ns - 1] + 1.0)
-        return StumpSearchResult(fi, threshold, polarity, float(per_feature[fi]))
+        return StumpSearchResult(fi, threshold, polarity, error)
 
 
 def best_stump(values: np.ndarray, positive: np.ndarray,

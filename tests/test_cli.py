@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -77,6 +78,27 @@ def test_train_rerun_byte_identical(workdir, tmp_path):
     assert rc == 0
     assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
     assert (tmp_path / "l1.txt").read_bytes() == (tmp_path / "l2.txt").read_bytes()
+
+
+def test_train_output_pinned(tmp_path, monkeypatch):
+    """Criterion 12's train run, pinned by sha-256 of the cascade file and
+    of the log. The corpus sits at a relative path, since the log's
+    manifest names its directories."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "corpus", "--positives", "40", "--negatives", "20",
+                 "--neg-size", "64", "--scenes", "1", "--scene-width", "100",
+                 "--scene-height", "80", "--moths-per-scene", "1",
+                 "--seed", "5"]) == 0
+    assert main(["train", "corpus/positives", "corpus/negatives",
+                 "--stages", "1", "--feature-subsample", "0.02",
+                 "--max-weak", "4", "--negatives-per-stage", "40",
+                 "--min-detection-rate", "0.95", "--seed", "2",
+                 "--out", "c.json", "--log-out", "l.txt"]) == 0
+    sha = lambda name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+    assert sha("c.json") == (
+        "5d67fe501926c24371753add834bd5b9016bdfad4daa75c4ba25b66b903a7f0c")
+    assert sha("l.txt") == (
+        "2424b39fa5d74a7d65a5c57ffa5b827047a6e19bde53668f362e857333502ee9")
 
 
 def test_eval_pipeline(workdir, tmp_path):
@@ -230,3 +252,33 @@ def test_power_rejects_non_finite_scenario_numbers(section, key, literal,
     assert rc == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
+def test_power_rejects_bad_trace_line(bad, tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"3600\n7200\n{bad}\n10800\n")
+    rc = main(["power", "--simulate", str(trace), "--horizon-days", "1",
+               "--out", str(tmp_path / "sim.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{trace}:3:" in err and bad in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"phase_energy": {"compute_mj": 4.61}', "malformed JSON"),
+    ("{}", "phase_energy.compute_mj"),
+    ('{"phase_energy": {"bogus": 1}}', "phase_energy.bogus"),
+])
+def test_power_rejects_bad_scenario(text, named, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    rc = main(["power", "--scenario", str(scenario),
+               "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "p.csv").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -5,16 +6,19 @@ import numpy as np
 import pytest
 
 from trapnode.cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
-                              eval_grid, eval_window, feature_value, load_cascade,
-                              window_norm)
+                              cascade_to_json, eval_grid, eval_window,
+                              feature_value, load_cascade, window_norm)
 from trapnode.detector import PyramidConfig, build_pyramid
 from trapnode.imaging import GrayImage
 from trapnode.integral import Rect, build_integral, padded_plane
-from trapnode.synthetic import synth_moth_window, synth_negative_images, synth_scene
-from trapnode.trainer import (TEMPLATES, TrainConfig, TrainSample, WindowStack,
-                              best_stump, enumerate_features, feature_table,
-                              train_cascade, train_stage, train_weak, _alpha,
-                              _boost_stage, _mine_negatives, _PoolGrid, _PoolProbe)
+from trapnode.synthetic import (synth_moth_window, synth_negative_images,
+                                synth_positive_windows, synth_scene)
+from trapnode.trainer import (STUMP_BLOCK, TEMPLATES, StumpSearcher,
+                              StumpSearchResult, TrainConfig, TrainSample,
+                              WindowStack, best_stump, enumerate_features,
+                              feature_table, train_cascade, train_stage,
+                              train_weak, _alpha, _boost_stage, _mine_negatives,
+                              _PoolGrid, _PoolProbe)
 
 BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
 
@@ -93,6 +97,45 @@ def exhaustive_stump_error(values: np.ndarray, positive: np.ndarray,
                 err = weights[pred != positive].sum()
                 best = min(best, err)
     return best
+
+
+def whole_matrix_stump(values: np.ndarray, positive: np.ndarray,
+                       weights: np.ndarray) -> StumpSearchResult:
+    """The stump search over the whole (features x cuts) matrix at once: the
+    first-index argmin over both polarities' cuts, then over features."""
+    nf, ns = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    sv_all = np.take_along_axis(values, order, axis=1)
+    valid = np.ones((nf, ns + 1), dtype=bool)
+    valid[:, 1:ns] = sv_all[:, :-1] != sv_all[:, 1:]
+    w_pos = np.where(positive, weights, 0.0)
+    w_neg = np.where(positive, 0.0, weights)
+    total_pos = w_pos.sum()
+    total = total_pos + w_neg.sum()
+
+    cpos = w_pos[order].cumsum(axis=1)
+    cneg = w_neg[order].cumsum(axis=1)
+    err_plus = np.empty((nf, ns + 1), dtype=np.float64)
+    err_plus[:, 0] = total - total_pos
+    err_plus[:, 1:] = cpos + (total - total_pos) - cneg
+    err_minus = total - err_plus
+
+    err_plus = np.where(valid, err_plus, np.inf)
+    err_minus = np.where(valid, err_minus, np.inf)
+    both = np.concatenate([err_plus, err_minus], axis=1)
+    best_cut = np.argmin(both, axis=1)
+    per_feature = both[np.arange(nf), best_cut]
+    fi = int(np.argmin(per_feature))
+    cut = int(best_cut[fi])
+    sv = sv_all[fi]
+    if cut <= ns:
+        polarity = 1
+        threshold = float(sv[cut - 1]) if cut >= 1 else float(sv[0] - 1.0)
+    else:
+        polarity = -1
+        c = cut - (ns + 1)
+        threshold = float(sv[c]) if c < ns else float(sv[ns - 1] + 1.0)
+    return StumpSearchResult(fi, threshold, polarity, float(per_feature[fi]))
 
 
 # ------------------------------------------------------------ enumeration --
@@ -223,6 +266,63 @@ def test_train_weak_full_matrix_oracle():
     weights = np.full(50, 1.0 / 50)
     oracle = exhaustive_stump_error(matrix, labels, weights)
     assert found.error == pytest.approx(oracle, abs=1e-12)
+
+
+def assert_blocked_matches_whole(values, positive, weights) -> StumpSearchResult:
+    found = StumpSearcher(values, positive).best(weights)
+    assert found == whole_matrix_stump(values, positive, weights)
+    return found
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_best_stump_blocks_match_whole_matrix(seed):
+    # Small integer values and integer weights make equal errors common,
+    # within rows, across polarities and across features.
+    rng = np.random.default_rng(seed)
+    nf, ns = 2 * STUMP_BLOCK + 37, 24
+    values = rng.integers(-3, 4, size=(nf, ns)).astype(np.float64)
+    values[rng.integers(nf, size=5)] = 2.0  # all-equal rows
+    positive = rng.random(ns) > 0.5
+    positive[:2] = True, False
+    weights = rng.integers(1, 4, size=ns).astype(np.float64)
+    assert_blocked_matches_whole(values, positive, weights)
+    assert_blocked_matches_whole(values, positive, weights / weights.sum())
+
+
+@pytest.mark.parametrize("edge", [STUMP_BLOCK, 2 * STUMP_BLOCK])
+def test_best_stump_twin_rows_across_block_edge(edge):
+    # The same separating row on both sides of a block edge: the lower
+    # index, in the earlier block, must win.
+    rng = np.random.default_rng(edge)
+    nf, ns = 3 * STUMP_BLOCK, 20
+    values = rng.integers(0, 5, size=(nf, ns)).astype(np.float64)
+    positive = np.arange(ns) % 2 == 0
+    values[edge - 1] = values[edge] = np.where(positive, 7.0, 1.0)
+    found = assert_blocked_matches_whole(values, positive, np.ones(ns))
+    assert (found.feature_index, found.error) == (edge - 1, 0.0)
+
+
+def test_best_stump_polarity_tie_goes_to_plus():
+    # Sorted labels P N N P: the best +1 cut and the best -1 cut both err
+    # on one sample. Every other row is constant and errs on two.
+    nf = STUMP_BLOCK + 10
+    positive = np.array([True, False, False, True])
+    values = np.tile(np.arange(nf, dtype=np.float64)[:, None], (1, 4))
+    values[STUMP_BLOCK + 3] = [0.0, 1.0, 2.0, 3.0]
+    found = assert_blocked_matches_whole(values, positive, np.ones(4))
+    assert found == StumpSearchResult(STUMP_BLOCK + 3, 2.0, 1, 1.0)
+
+
+@pytest.mark.parametrize("n_pos", [1, 3, 4])
+def test_best_stump_all_equal_rows(n_pos):
+    # Only the sentinel cuts are valid; at n_pos = 4 all four sentinel
+    # stumps tie, and +1 below the row's value wins.
+    nf, ns = STUMP_BLOCK + 1, 8
+    values = np.repeat(np.arange(nf, dtype=np.float64)[:, None], ns, axis=1)
+    positive = np.arange(ns) < n_pos
+    found = assert_blocked_matches_whole(values, positive, np.ones(ns))
+    assert found.feature_index == 0
+    assert found.error == min(n_pos, ns - n_pos)
 
 
 def test_alpha_formula():
@@ -471,3 +571,20 @@ def test_train_cascade_requires_positives():
     _, neg = _tiny_corpus(rng)
     with pytest.raises(ValueError):
         train_cascade([synth_moth_window(rng)], neg, TrainConfig())
+
+
+def test_training_output_pinned():
+    """Cascade JSON and training log of the benchmark's `train` corpus and
+    config, pinned by sha-256: a speed-up must leave them byte-identical."""
+    rng = np.random.default_rng([0, 2])
+    pos = synth_positive_windows(100, rng)
+    pool = synth_negative_images(40, 96, 96, rng)
+    cfg = TrainConfig(num_stages=8, min_detection_rate=0.999, max_fp_rate=0.5,
+                      max_weak_per_stage=30, feature_subsample=0.06,
+                      negatives_per_stage=100, seed=7)
+    result = train_cascade(pos, pool, cfg)
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert sha(cascade_to_json(result.cascade)) == (
+        "550a84241583193e798499e4a3cbfebe78ac383747aa2f39c5388bdd5dc423d1")
+    assert sha(result.log_text()) == (
+        "3379590bd1d206379b769d4fcd487381c580ba86d92b1c3c24e09b13c491dfaa")
