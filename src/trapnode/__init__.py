@@ -16,7 +16,7 @@ from .detector import (Detection, PyramidConfig, ScratchBudget, TileSpec,
                        build_pyramid, detect, plan_tiles, scan_tile)
 from .trainer import (TrainConfig, TrainSample, enumerate_features,
                       feature_table, train_cascade, train_stage, train_weak)
-from .evaluator import EvalReport, GroundTruth, iou, match_detections
+from .evaluator import EvalReport, iou, match_detections
 from .mcu import (ComputeEngine, MemoryTier, PlatformModel, builtin_platform,
                   transfer_cycles)
 from .cnngraph import (Layer, LayerGraph, build_mbnv3_ssdlite, count_macs,

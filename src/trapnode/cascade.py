@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .integral import IntegralImage, Rect, RectOutOfBounds
+from .integral import IntegralImage, Rect, RectOutOfBounds, rect_sum
 
 FORMAT_VERSION = 1
 
@@ -195,43 +195,20 @@ class WindowEval:
     score: float
 
 
-def feature_value(f: HaarFeature, ii: IntegralImage, origin: tuple[int, int],
-                  scale: float = 1.0) -> int:
-    """Signed-weighted sum of rectangle sums, optionally scaling the template.
-
-    Rect coordinates are multiplied by `scale` and rounded to the nearest
-    integer. The default pipeline scales the image instead and always passes
-    scale = 1.
-    """
-    from .integral import rect_sum
-
+def feature_value(f: HaarFeature, ii: IntegralImage, origin: tuple[int, int]) -> int:
+    """Signed-weighted sum of the feature's rectangle sums at `origin`."""
     ox, oy = origin
-    total = 0
-    for rect, weight in f.rects:
-        if scale == 1.0:
-            rx, ry, rw, rh = rect.x, rect.y, rect.w, rect.h
-        else:
-            rx = int(np.floor(rect.x * scale + 0.5))
-            ry = int(np.floor(rect.y * scale + 0.5))
-            rw = max(1, int(np.floor(rect.w * scale + 0.5)))
-            rh = max(1, int(np.floor(rect.h * scale + 0.5)))
-        r = Rect(ox + rx, oy + ry, rw, rh)
-        if r.x + r.w > ii.width or r.y + r.h > ii.height:
-            raise RectOutOfBounds(f"scaled rect {r} escapes the raster")
-        total += weight * rect_sum(ii, r)
-    return total
+    return sum(weight * rect_sum(ii, Rect(ox + r.x, oy + r.y, r.w, r.h))
+               for r, weight in f.rects)
 
 
 def window_norm(ii: IntegralImage, x: int, y: int, w: int, h: int) -> float:
     """Intensity standard deviation of a window (1.0 for flat windows)."""
-    from .integral import rect_sum
-
-    if ii.squared_sums is None:
+    if ii.squares is None:
         raise ValueError("variance normalization needs squared sums")
     n = w * h
     s1 = rect_sum(ii, Rect(x, y, w, h))
-    sq = IntegralImage(ii.squared_sums)
-    s2 = rect_sum(sq, Rect(x, y, w, h))
+    s2 = rect_sum(IntegralImage(ii.squares), Rect(x, y, w, h))
     var = s2 / n - (s1 / n) ** 2
     return float(np.sqrt(var)) if var > 0 else 1.0
 
@@ -263,38 +240,36 @@ def eval_window(c: Cascade, ii: IntegralImage, origin: tuple[int, int]) -> Windo
     return WindowEval(True, len(c.stages) - 1, margin)
 
 
-def eval_grid(c: Cascade, psums: np.ndarray, psquares: np.ndarray | None,
-              xs: np.ndarray, ys: np.ndarray):
+def eval_grid(c: Cascade, ii: IntegralImage, xs: np.ndarray, ys: np.ndarray):
     """Vectorized cascade evaluation at many window origins.
 
-    `psums`/`psquares` are padded planes from integral.padded_plane. Each
-    stage is scored on the windows that passed the stages before it: one
-    flat gather reads the corners of `Stage.corners` at every surviving
-    origin, and one matmul with its coefficient matrix gives every weak
-    classifier's feature value. Windows are gathered in blocks of
-    GRID_BLOCK. Returns (accepted bool array, rejecting/last stage index
-    int32 array, float64 margin array), bit-identical in decision and score
-    to per-window eval_window.
+    Reads `ii`'s padded planes in place. Each stage is scored on the windows
+    that passed the stages before it: one flat gather reads the corners of
+    `Stage.corners` at every surviving origin, and one matmul with its
+    coefficient matrix gives every weak classifier's feature value. Windows
+    are gathered in blocks of GRID_BLOCK. Returns (accepted bool array,
+    rejecting/last stage index int32 array, float64 margin array),
+    bit-identical in decision and score to per-window eval_window.
     """
     n = xs.shape[0]
     accepted = np.ones(n, dtype=bool)
     stage_idx = np.zeros(n, dtype=np.int32)
     margins = np.zeros(n, dtype=np.float64)
-    stride = psums.shape[1]
+    plane = ii.plane.ravel()
+    stride = ii.plane.shape[1]
     base = ys * stride + xs
 
     if c.variance_normalization:
-        if psquares is None:
+        if ii.squares is None:
             raise ValueError("variance normalization needs squared sums")
         area = c.window_w * c.window_h
-        s1 = _window_sums(psums.ravel(), base, c.window_w, c.window_h * stride)
-        s2 = _window_sums(psquares.ravel(), base, c.window_w, c.window_h * stride)
+        s1 = _window_sums(plane, base, c.window_w, c.window_h * stride)
+        s2 = _window_sums(ii.squares.ravel(), base, c.window_w, c.window_h * stride)
         var = s2 / area - (s1 / area) ** 2
         norms = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0)
     else:
         norms = np.ones(n, dtype=np.float64)
 
-    plane = psums.ravel().astype(np.float64)
     alive = np.arange(n)
     for k, stage in enumerate(c.stages):
         if alive.size == 0:

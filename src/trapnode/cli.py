@@ -233,7 +233,10 @@ def _resolve_platform(spec: str):
     candidates.append(DATA_DIR / f"{spec}.json")
     for c in candidates:
         if c.is_file():
-            return load_platform(c)
+            try:
+                return load_platform(c)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{c}: malformed JSON ({exc})") from None
     raise InputError(f"unknown platform {spec!r} (no builtin, file, or "
                      "TRAPNODE_PLATFORM_PATH match)")
 
@@ -264,6 +267,8 @@ def cmd_cnn(args) -> int:
         graph = load_graph(graph_path)
     except FileNotFoundError:
         raise InputError(f"graph not found: {graph_path}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{graph_path}: malformed JSON ({exc})") from None
     except GraphError as exc:
         raise InputError(f"{graph_path}: {exc}") from None
     platform = _resolve_platform(args.platform)
@@ -342,7 +347,7 @@ def _scenario_section(path: Path, section: str, values, model):
 
 def _read_trace(path: Path) -> list[float]:
     """Arrival times in seconds, whitespace-separated; each must be a finite
-    number."""
+    number, and none may precede the one before it."""
     if not path.is_file():
         raise InputError(f"trace file not found: {path}")
     try:
@@ -359,6 +364,9 @@ def _read_trace(path: Path) -> list[float]:
             if not math.isfinite(t):
                 raise InputError(f"{path}:{lineno}: arrival time must be a "
                                  f"finite number, got {token!r}")
+            if trace and t < trace[-1]:
+                raise InputError(f"{path}:{lineno}: arrival times must be "
+                                 f"sorted, got {token!r} after {trace[-1]:g}")
             trace.append(t)
     return trace
 
@@ -397,6 +405,8 @@ def _scenario_from_args(args):
 
 def cmd_power(args) -> int:
     pe, cfg, batt = _scenario_from_args(args)
+    # Finite capacity and voltage can still multiply past the float range.
+    _require_finite("battery energy in joules", batt.energy_j)
     params = {
         "wake_period": cfg.wake_period_s, "policy": cfg.payload_policy,
         "compute_mj": pe.compute_mj, "overhead_mj": pe.wake_overhead_mj,
@@ -533,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["conv_accelerator", "worker_cores"])
     p.add_argument("--l1", type=int, default=115_600)
     p.add_argument("--l2", type=int, default=1_200_000)
-    p.add_argument("--dma-overlap", action="store_true", default=True)
     p.add_argument("--no-dma-overlap", dest="dma_overlap", action="store_false")
     p.add_argument("--compare-budgets", nargs="+", metavar="L1:L2",
                    default=None)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cascade import Cascade, eval_grid
 from .imaging import GrayImage, downscale
-from .integral import Rect, build_integral, padded_plane
+from .integral import Rect, build_integral
 
 # Tile widths/strides snap down to this alignment when the budget binds, so
 # every tile row starts word-aligned in the source raster (1-byte pixels).
@@ -54,9 +54,9 @@ class PyramidConfig:
 class ScratchBudget:
     """L1-equivalent working-set limit and its accounting mode.
 
-    ii_only charges 4 B/px (the tile integral image); ii_plus_input adds the
-    1 B/px input tile; ii_plus_input_plus_squares also charges the 8 B/px
-    squared-sum plane.
+    ii_only charges 4 B/px (the MCU's uint32 tile integral image, not the
+    host's float64 plane); ii_plus_input adds the 1 B/px input tile;
+    ii_plus_input_plus_squares also charges the 8 B/px squared-sum plane.
     """
 
     bytes: int = 99_600
@@ -194,14 +194,11 @@ def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> list[TileHit
     if tile_pixels.width < c.window_w or tile_pixels.height < c.window_h:
         return []
     ii = build_integral(tile_pixels, with_squares=c.variance_normalization)
-    psums = padded_plane(ii)
-    psquares = padded_plane(ii, squares=True) if c.variance_normalization else None
-
     ox = np.arange(0, tile_pixels.width - c.window_w + 1, step, dtype=np.int64)
     oy = np.arange(0, tile_pixels.height - c.window_h + 1, step, dtype=np.int64)
     xs = np.tile(ox, oy.size)
     ys = np.repeat(oy, ox.size)
-    accepted, _, margins = eval_grid(c, psums, psquares, xs, ys)
+    accepted, _, margins = eval_grid(c, ii, xs, ys)
     idx = np.flatnonzero(accepted)
     return [TileHit(x, y, score) for x, y, score in
             zip(xs[idx].tolist(), ys[idx].tolist(), margins[idx].tolist())]

@@ -15,12 +15,6 @@ from .integral import Rect
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    image_id: str
-    boxes: tuple[Rect, ...]
-
-
-@dataclass(frozen=True)
 class EvalReport:
     matched: int
     total_gt: int

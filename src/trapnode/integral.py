@@ -1,9 +1,16 @@
 """Integral images and O(1) rectangle sums.
 
-An integral image stores at (x, y) the sum of all source pixels in the
-inclusive rectangle (0,0)-(x,y), so any rectangle sum costs four corner reads.
-No zero row/column is stored; border corners are handled by branching, which
-keeps the per-tile memory footprint exactly 4 bytes per pixel.
+An integral image holds the sum of all source pixels in the inclusive
+rectangle (0,0)-(x,y). The host stores it as a zero-padded float64 plane,
+with that sum at (y+1, x+1) and zeros in row and column 0, so any rectangle
+sum is four unconditional corner reads. The detector's tile scan and the
+trainer's hard-negative miner read these planes in place, and
+`trainer.WindowStack` stacks planes of the same layout. The MAX_PIXELS
+guard keeps every entry, squared sums included, far below 2^53, so the
+planes hold exact integers.
+
+The host planes take 8 B per pixel. The MCU keeps a 4 B/px uint32 plane, and
+that is what `detector.ScratchBudget`'s `ii_only` mode still charges.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import numpy as np
 
 from .imaging import GrayImage
 
-# 8-bit pixels over more than 2^24 of them can overflow a 32-bit accumulator.
+# 8-bit pixels over more than 2^24 of them can overflow the MCU's 32-bit
+# accumulator. Below it, squared sums stay under 2^40.
 MAX_PIXELS = 1 << 24
 
 
@@ -48,39 +56,57 @@ class Rect:
 
 @dataclass(frozen=True)
 class IntegralImage:
-    """Prefix-sum raster; `sums` is uint32, optional `squared_sums` is uint64."""
+    """Zero-padded float64 prefix-sum planes of a raster.
 
-    sums: np.ndarray
-    squared_sums: np.ndarray | None = None
+    `plane[y+1, x+1]` is the sum of the pixels in (0,0)-(x,y); row and
+    column 0 are zero. `squares`, when built, holds the same sums of the
+    squared pixels.
+    """
+
+    plane: np.ndarray
+    squares: np.ndarray | None = None
 
     def __post_init__(self):
-        self.sums.setflags(write=False)
-        if self.squared_sums is not None:
-            self.squared_sums.setflags(write=False)
+        self.plane.setflags(write=False)
+        if self.squares is not None:
+            self.squares.setflags(write=False)
+
+    @property
+    def sums(self) -> np.ndarray:
+        """The unpadded prefix sums: sums[y, x] = plane[y+1, x+1]."""
+        return self.plane[1:, 1:]
 
     @property
     def width(self) -> int:
-        return self.sums.shape[1]
+        return self.plane.shape[1] - 1
 
     @property
     def height(self) -> int:
-        return self.sums.shape[0]
+        return self.plane.shape[0] - 1
+
+
+def _padded_prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Float64 prefix sums over the last two axes of `values`, each 2-D
+    slice zero-padded by one leading row and column."""
+    *lead, h, w = values.shape
+    plane = np.zeros((*lead, h + 1, w + 1))
+    inner = plane[..., 1:, 1:]
+    np.cumsum(values, axis=-2, dtype=np.float64, out=inner)
+    np.cumsum(inner, axis=-1, out=inner)
+    return plane
 
 
 def build_integral(img: GrayImage, with_squares: bool = False) -> IntegralImage:
-    """Compute the prefix-sum raster (and optionally the squared-pixel one)."""
+    """Compute the prefix-sum plane (and optionally the squared-pixel one)."""
     if img.width * img.height > MAX_PIXELS:
         raise ImageTooLarge(
             f"{img.width}x{img.height} exceeds {MAX_PIXELS} pixels; "
             "32-bit sums could overflow"
         )
-    px = img.pixels.astype(np.uint32)
-    sums = px.cumsum(axis=0, dtype=np.uint32).cumsum(axis=1, dtype=np.uint32)
-    squared = None
+    squares = None
     if with_squares:
-        sq = img.pixels.astype(np.uint64) ** 2
-        squared = sq.cumsum(axis=0, dtype=np.uint64).cumsum(axis=1, dtype=np.uint64)
-    return IntegralImage(sums, squared)
+        squares = _padded_prefix_sums(np.square(img.pixels, dtype=np.float64))
+    return IntegralImage(_padded_prefix_sums(img.pixels), squares)
 
 
 def rect_sum(ii: IntegralImage, r: Rect) -> int:
@@ -89,43 +115,6 @@ def rect_sum(ii: IntegralImage, r: Rect) -> int:
         raise RectOutOfBounds(
             f"rect {r} outside {ii.width}x{ii.height} raster"
         )
-    s = ii.sums
-    x2 = r.x + r.w - 1
-    y2 = r.y + r.h - 1
-    total = int(s[y2, x2])
-    if r.x > 0:
-        total -= int(s[y2, r.x - 1])
-    if r.y > 0:
-        total -= int(s[r.y - 1, x2])
-    if r.x > 0 and r.y > 0:
-        total += int(s[r.y - 1, r.x - 1])
-    return total
-
-
-def padded_plane(ii: IntegralImage, squares: bool = False) -> np.ndarray:
-    """Zero-padded int64 copy of a sum plane, for vectorized window scans.
-
-    This is a scan-time working buffer, not part of the stored representation;
-    entry (y+1, x+1) equals sums[y, x] and row/column 0 are zero.
-    """
-    src = ii.squared_sums if squares else ii.sums
-    if src is None:
-        raise ValueError("integral image was built without squared sums")
-    out = np.zeros((src.shape[0] + 1, src.shape[1] + 1), dtype=np.int64)
-    out[1:, 1:] = src
-    return out
-
-
-def rect_sums_grid(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                   w: int, h: int) -> np.ndarray:
-    """Vectorized rectangle sums at many origins over a padded plane.
-
-    `plane` comes from padded_plane(); xs/ys are arrays of top-left origins.
-    Bounds are the caller's responsibility.
-    """
-    return (
-        plane[ys + h, xs + w]
-        - plane[ys, xs + w]
-        - plane[ys + h, xs]
-        + plane[ys, xs]
-    )
+    p = ii.plane
+    x2, y2 = r.x + r.w, r.y + r.h
+    return int(p[y2, x2] - p[r.y, x2] - p[y2, r.x] + p[r.y, r.x])

@@ -231,8 +231,3 @@ def platform_from_json(text: str) -> PlatformModel:
 def load_platform(path) -> PlatformModel:
     with open(path, "r", encoding="ascii") as fh:
         return platform_from_json(fh.read())
-
-
-def save_platform(p: PlatformModel, path, calibrated: dict | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(platform_to_json(p, calibrated))

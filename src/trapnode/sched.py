@@ -29,10 +29,6 @@ class L1PlanError(ValueError):
     """A layer's minimal working set does not fit the L1 budget."""
 
 
-class ScheduleMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BudgetConfig:
     l1_bytes: int = 115_600

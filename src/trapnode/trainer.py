@@ -33,7 +33,7 @@ from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier, eval_grid,
                       score_stage)
 from .detector import PyramidConfig
 from .imaging import GrayImage, downscale
-from .integral import Rect, build_integral, padded_plane
+from .integral import Rect, _padded_prefix_sums, build_integral
 
 # Per template: its width and height in unit rectangles (a x b), then each
 # rect's (x, y) offset in units and its weight.
@@ -196,7 +196,8 @@ def _corner_coefficients(rows: np.ndarray, win_w: int, win_h: int) -> np.ndarray
 class WindowStack:
     """Padded integral planes of a batch of same-size windows, stacked.
 
-    The planes are float64 and contiguous: window i's (h+1) x (w+1) plane
+    Each window's (h+1) x (w+1) plane has the `IntegralImage.plane` layout,
+    built by the same helper, and the planes are contiguous: window i's
     starts at flat offset i*(h+1)*(w+1), so each window is one origin on a
     flat plane of row pitch w+1. Cascade stages are scored there by
     `cascade.score_stage`, the kernel `eval_grid` scans with, and a feature
@@ -209,16 +210,14 @@ class WindowStack:
         if windows.ndim != 3:
             raise ValueError("windows must be (n, h, w)")
         n, h, w = windows.shape
-        px = windows.astype(np.int64)
         self.height, self.width = h, w
-        plane = np.zeros((n, h + 1, w + 1), dtype=np.float64)
-        plane[:, 1:, 1:] = px.cumsum(axis=1).cumsum(axis=2)
-        self.plane = plane.reshape(n, -1)
+        self.plane = _padded_prefix_sums(windows).reshape(n, -1)
         self.origins = np.arange(n) * self.plane.shape[1]
         if variance_normalization:
             area = h * w
-            s1 = px.sum(axis=(1, 2)).astype(np.float64)
-            s2 = (px * px).sum(axis=(1, 2)).astype(np.float64)
+            s1 = self.plane[:, -1]
+            px = windows.reshape(n, -1).astype(np.float64)
+            s2 = np.einsum("ij,ij->i", px, px)
             var = s2 / area - (s1 / area) ** 2
             self.norms = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0)
         else:
@@ -637,11 +636,10 @@ class _PoolGrid:
         done = self._passed[r]
         if done < len(stages) and alive.size:
             ii = build_integral(self.rasters[r], with_squares=variance_normalization)
-            psquares = padded_plane(ii, squares=True) if variance_normalization else None
             ys, xs = np.divmod(alive, self.cols[r])
             new = Cascade(self.win_w, self.win_h, tuple(stages[done:]),
                           variance_normalization)
-            accepted, _, _ = eval_grid(new, padded_plane(ii), psquares, xs, ys)
+            accepted, _, _ = eval_grid(new, ii, xs, ys)
             alive = alive[accepted]
         if stages:
             self._alive[r], self._passed[r] = alive, len(stages)

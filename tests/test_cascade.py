@@ -10,7 +10,7 @@ from trapnode.cascade import (Cascade, EmptyStage, HaarFeature, MissingField,
                               cascade_from_json, cascade_to_json, eval_grid,
                               eval_window, feature_value, load_cascade)
 from trapnode.imaging import GrayImage
-from trapnode.integral import Rect, build_integral, padded_plane
+from trapnode.integral import Rect, build_integral
 from trapnode.synthetic import synth_scene
 from trapnode.trainer import TEMPLATES, enumerate_features
 
@@ -102,12 +102,10 @@ def test_eval_grid_matches_eval_window():
     cascade = make_probe_cascade(seed=9, stages=2, weak_per_stage=3)
     img = random_image(rng, 40, 32)
     ii = build_integral(img, with_squares=True)
-    psums = padded_plane(ii)
-    psquares = padded_plane(ii, squares=True)
     xs, ys = np.meshgrid(np.arange(21), np.arange(13))
     xs = xs.ravel().astype(np.int64)
     ys = ys.ravel().astype(np.int64)
-    accepted, stages, margins = eval_grid(cascade, psums, psquares, xs, ys)
+    accepted, stages, margins = eval_grid(cascade, ii, xs, ys)
     for i in range(xs.size):
         ref = eval_window(cascade, ii, (int(xs[i]), int(ys[i])))
         assert bool(accepted[i]) == ref.accepted
@@ -116,9 +114,7 @@ def test_eval_grid_matches_eval_window():
 
 
 def assert_grid_matches_windows(cascade, ii, xs, ys):
-    got = eval_grid(cascade, padded_plane(ii),
-                    padded_plane(ii, squares=True) if cascade.variance_normalization else None,
-                    xs, ys)
+    got = eval_grid(cascade, ii, xs, ys)
     accepted, stages, margins = got
     assert (accepted.dtype, stages.dtype, margins.dtype) == (bool, np.int32, np.float64)
     assert accepted.shape == stages.shape == margins.shape == xs.shape
@@ -183,8 +179,7 @@ def test_eval_grid_matches_eval_window_on_bench_cascade():
     ii = build_integral(img, with_squares=True)
     cols = img.width - cascade.window_w + 1
     ys, xs = np.divmod(np.arange(cols * (img.height - cascade.window_h + 1)), cols)
-    _, stages, _ = eval_grid(cascade, padded_plane(ii), padded_plane(ii, squares=True),
-                             xs, ys)
+    _, stages, _ = eval_grid(cascade, ii, xs, ys)
     deep = np.flatnonzero(stages >= 5)
     assert deep.size
     assert_grid_matches_windows(cascade, ii, xs[deep], ys[deep])
@@ -194,12 +189,6 @@ def test_feature_value_zero_image_and_identity_scale():
     feature = HaarFeature(((Rect(1, 1, 3, 2), 1), (Rect(4, 1, 3, 2), -1)))
     zero = build_integral(GrayImage(np.zeros((20, 20), dtype=np.uint8)))
     assert feature_value(feature, zero, (0, 0)) == 0
-
-    rng = np.random.default_rng(23)
-    img = random_image(rng, 20, 20)
-    ii = build_integral(img)
-    assert feature_value(feature, ii, (2, 3), scale=1.0) == \
-        feature_value(feature, ii, (2, 3))
 
 
 def test_feature_value_matches_naive_pixel_loop():

@@ -254,7 +254,8 @@ def test_power_rejects_non_finite_scenario_numbers(section, key, literal,
     assert f"{section}.{key}" in err
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
+# 3599 is finite but earlier than the 7200 before it.
+@pytest.mark.parametrize("bad", ["nan", "inf", "abc", "3599"])
 def test_power_rejects_bad_trace_line(bad, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text(f"3600\n7200\n{bad}\n10800\n")
@@ -282,3 +283,25 @@ def test_power_rejects_bad_scenario(text, named, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_power_rejects_overflowing_battery_energy(tmp_path, capsys):
+    # Each flag is finite, but capacity x voltage in joules is not.
+    rc = main(["power", "--battery-mah", "1e308", "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "battery energy" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--platform"])
+def test_cnn_rejects_malformed_json_file(flag, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    rc = main(["cnn", flag, str(bad), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{bad}: malformed JSON" in err
+    assert not (tmp_path / "r.csv").exists()

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from trapnode.imaging import GrayImage
 from trapnode.integral import (ImageTooLarge, IntegralImage, Rect,
-                               RectOutOfBounds, build_integral, padded_plane,
-                               rect_sum, rect_sums_grid)
+                               RectOutOfBounds, build_integral, rect_sum)
 
 
 def naive_rect_sum(pixels: np.ndarray, r: Rect) -> int:
@@ -113,17 +112,6 @@ def test_squared_sums_match_naive():
         x = int(rng.integers(0, 9 - w + 1))
         y = int(rng.integers(0, 9 - h + 1))
         expected = int(sq[y : y + h, x : x + w].sum())
-        got = rect_sum(IntegralImage(ii.squared_sums), Rect(x, y, w, h))
+        got = rect_sum(IntegralImage(ii.squares), Rect(x, y, w, h))
         assert got == expected
 
-
-def test_vectorized_grid_matches_scalar():
-    rng = np.random.default_rng(16)
-    px = rng.integers(0, 256, size=(25, 30), dtype=np.uint8)
-    ii = build_integral(GrayImage(px))
-    plane = padded_plane(ii)
-    xs = np.arange(0, 30 - 6 + 1, dtype=np.int64)
-    ys = np.full_like(xs, 3)
-    sums = rect_sums_grid(plane, xs, ys, 6, 7)
-    for i, x in enumerate(xs):
-        assert int(sums[i]) == rect_sum(ii, Rect(int(x), 3, 6, 7))

@@ -10,7 +10,7 @@ from trapnode.cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
                               feature_value, load_cascade, window_norm)
 from trapnode.detector import PyramidConfig, build_pyramid
 from trapnode.imaging import GrayImage
-from trapnode.integral import Rect, build_integral, padded_plane
+from trapnode.integral import Rect, build_integral
 from trapnode.synthetic import (synth_moth_window, synth_negative_images,
                                 synth_positive_windows, synth_scene)
 from trapnode.trainer import (STUMP_BLOCK, TEMPLATES, StumpSearcher,
@@ -416,8 +416,7 @@ def test_window_stack_matches_scalar_path_on_bench_cascade():
     ii = build_integral(img, with_squares=True)
     cols = img.width - 20 + 1
     ys, xs = np.divmod(np.arange(cols * (img.height - 20 + 1)), cols)
-    _, reached, _ = eval_grid(cascade, padded_plane(ii),
-                              padded_plane(ii, squares=True), xs, ys)
+    _, reached, _ = eval_grid(cascade, ii, xs, ys)
     deep = np.flatnonzero(reached >= 5)
     assert deep.size
     windows = np.stack([img.pixels[y : y + 20, x : x + 20]
