@@ -22,15 +22,18 @@ import numpy as np
 
 from . import __version__
 from .cascade import CascadeFormatError, load_cascade, save_cascade
-from .cnngraph import GraphError, count_macs_total, count_params_total, load_graph
+from .cnngraph import (Layer, LayerGraph, count_macs_total, count_params_total,
+                       graph_from_json, load_graph)
 from .detector import (BudgetTooSmall, Detection, PyramidConfig, ScratchBudget,
                        detect)
 from .evaluator import match_by_image
 from .imaging import GrayImage, PgmError, load_pgm, save_pgm
 from .integral import Rect
-from .mcu import UnknownPlatform, builtin_platform, load_platform
-from .power import (Battery, DutyCycleConfig, PhaseEnergy, daily_energy,
-                    lifetime, simulate, wake_cycle_energy)
+from .mcu import (DATA_DIR, ComputeEngine, MemoryTier, PlatformModel,
+                  UnknownPlatform, builtin_platform, platform_from_json)
+from .power import (POLICIES, Battery, DutyCycleConfig, PhaseEnergy,
+                    daily_energy, gap9_viola_energy, lifetime, simulate,
+                    wake_cycle_energy)
 from .sched import (BudgetConfig, L1PlanError, compare_budgets, estimate_latency,
                     plan_schedule)
 from .synthetic import synth_negative_images, synth_positive_windows, synth_scene
@@ -38,8 +41,6 @@ from .trainer import TrainConfig, train_cascade
 
 EXIT_INPUT_ERROR = 3
 EXIT_CONSTRAINT = 4
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 class InputError(Exception):
@@ -70,6 +71,62 @@ def _read_image(path: Path) -> GrayImage:
     except FileNotFoundError:
         raise InputError(f"image not found: {path}") from None
     except PgmError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+# The JSON types of the scalar field annotations of models read from files.
+JSON_TYPES = {"str": str, "bool": bool, "dict": dict, "int": int, "float": (int, float)}
+
+
+def _check_json(path: Path, what: str, value, kind, nested=()) -> None:
+    """Check `value`, at `what` in the JSON file `path`, against `kind`: a
+    dataclass (or one in `nested`) takes an object with its fields, a tuple or
+    frozenset a list, an int an integer and a float a finite number. An error
+    names the first bad key."""
+    kind = next((m for m in nested if m.__name__ == kind), kind)
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise InputError(f"{path}: {what} must be a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(kind)}
+        for key in value:
+            if key not in fields:
+                raise InputError(f"{path}: unknown key {what}.{key}")
+        for name, field in fields.items():
+            if name in value:
+                _check_json(path, f"{what}.{name}", value[name], field.type, nested)
+            elif field.default is dataclasses.MISSING:
+                raise InputError(f"{path}: {what}.{name} is missing")
+        return
+    container, _, items = kind.partition("[")
+    kinds = items[:-1].split(", ")
+    fixed = container == "tuple" and kinds[-1] != "..."
+    if items:
+        if not isinstance(value, list) or fixed and len(value) != len(kinds):
+            raise InputError(f"{path}: {what} must be a list ({kind}), got {value!r}")
+        for i, item in enumerate(value):
+            _check_json(path, f"{what}[{i}]", item, kinds[i if fixed else 0], nested)
+    elif (isinstance(value, bool) != (kind == "bool")
+          or not isinstance(value, JSON_TYPES[kind])):
+        raise InputError(f"{path}: {what} must be {kind}, got {value!r}")
+    elif kind in ("int", "float") and not abs(value) <= sys.float_info.max:
+        raise InputError(f"{path}: {what} must be a finite number, got {value}")
+
+
+def _load_checked(path: Path, where: str, model, nested, from_json):
+    """A graph or platform from a file named on the command line, its fields
+    checked first. A device file's `calibrated` notes are not fields."""
+    try:
+        text = path.read_text(encoding="ascii")
+        doc = json.loads(text)
+        if isinstance(doc, dict):
+            doc.pop("calibrated", None)
+        _check_json(path, where, doc, model, nested)
+        return from_json(text)
+    except FileNotFoundError:
+        raise InputError(f"{where} not found: {path}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: malformed JSON ({exc})") from None
+    except ValueError as exc:  # a value the model rejects
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -108,8 +165,7 @@ def cmd_detect(args) -> int:
         "group_iou": args.group_iou,
     }
     lines = manifest_lines("detect", params,
-                           {"image": image_path, "cascade": cascade_path},
-                           seed=args.seed)
+                           {"image": image_path, "cascade": cascade_path})
     lines.append("image_id,x,y,w,h,level,score")
     image_id = image_path.stem
     for d in detections:
@@ -230,13 +286,10 @@ def _resolve_platform(spec: str):
     if env:
         candidates.append(Path(env) / spec)
         candidates.append(Path(env) / f"{spec}.json")
-    candidates.append(DATA_DIR / f"{spec}.json")
     for c in candidates:
         if c.is_file():
-            try:
-                return load_platform(c)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{c}: malformed JSON ({exc})") from None
+            return _load_checked(c, "platform", PlatformModel,
+                                 (MemoryTier, ComputeEngine), platform_from_json)
     raise InputError(f"unknown platform {spec!r} (no builtin, file, or "
                      "TRAPNODE_PLATFORM_PATH match)")
 
@@ -263,14 +316,8 @@ def _latency_lines(schedule, report) -> list[str]:
 
 def cmd_cnn(args) -> int:
     graph_path = Path(args.graph) if args.graph else DATA_DIR / "mbnv3_ssdlite_320x240.json"
-    try:
-        graph = load_graph(graph_path)
-    except FileNotFoundError:
-        raise InputError(f"graph not found: {graph_path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{graph_path}: malformed JSON ({exc})") from None
-    except GraphError as exc:
-        raise InputError(f"{graph_path}: {exc}") from None
+    graph = (_load_checked(graph_path, "graph", LayerGraph, (Layer,), graph_from_json)
+             if args.graph else load_graph(graph_path))  # the shipped one is trusted
     platform = _resolve_platform(args.platform)
 
     params = {
@@ -306,12 +353,6 @@ def cmd_cnn(args) -> int:
 
 # ----------------------------------------------------------------- power --
 
-# The float flags of `power`; each must be a finite number.
-POWER_FLOAT_FLAGS = ("compute_mj", "camera_mj", "tx_mj_per_byte",
-                     "wake_overhead_mj", "wake_period", "detections_per_day",
-                     "sleep_uw", "battery_mah", "battery_v", "horizon_days")
-
-
 def _require_finite(what: str, value) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise InputError(f"{what} must be a finite number, got {value}")
@@ -320,29 +361,6 @@ def _require_finite(what: str, value) -> None:
 # Scenario file sections, each the keyword arguments of one power model.
 SCENARIO_SECTIONS = {"phase_energy": PhaseEnergy, "duty_cycle": DutyCycleConfig,
                      "battery": Battery}
-
-
-def _scenario_section(path: Path, section: str, values, model):
-    """One scenario section as its power model. Keys must be the model's
-    fields, a str field takes a string, every other a finite number."""
-    if not isinstance(values, dict):
-        raise InputError(f"{path}: {section} must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(model)}
-    for key, value in values.items():
-        if key not in fields:
-            raise InputError(f"{path}: unknown key {section}.{key}")
-        what = f"{path}: {section}.{key}"
-        if fields[key].type == "str":
-            if not isinstance(value, str):
-                raise InputError(f"{what} must be a string, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"{what} must be a number, got {value!r}")
-        elif not abs(value) <= sys.float_info.max:
-            raise InputError(f"{what} must be a finite number, got {value}")
-    for name, field in fields.items():
-        if name not in values and field.default is dataclasses.MISSING:
-            raise InputError(f"{path}: {section}.{name} is missing")
-    return model(**values)
 
 
 def _read_trace(path: Path) -> list[float]:
@@ -372,8 +390,8 @@ def _read_trace(path: Path) -> list[float]:
 
 
 def _scenario_from_args(args):
-    for name in POWER_FLOAT_FLAGS:
-        _require_finite("--" + name.replace("_", "-"), getattr(args, name))
+    for name, value in vars(args).items():  # every float flag must be finite
+        _require_finite("--" + name.replace("_", "-"), value)
     if args.scenario:
         path = Path(args.scenario)
         if not path.is_file():
@@ -387,7 +405,9 @@ def _scenario_from_args(args):
         for section in doc:
             if section not in SCENARIO_SECTIONS:
                 raise InputError(f"{path}: unknown section {section!r}")
-        return tuple(_scenario_section(path, section, doc.get(section, {}), model)
+        for section, model in SCENARIO_SECTIONS.items():
+            _check_json(path, section, doc.get(section, {}), model)
+        return tuple(model(**doc.get(section, {}))
                      for section, model in SCENARIO_SECTIONS.items())
     pe = PhaseEnergy(compute_mj=args.compute_mj, camera_mj=args.camera_mj,
                      tx_mj_per_byte=args.tx_mj_per_byte,
@@ -490,22 +510,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "detector, MCU latency model, duty-cycle energy model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flag defaults are the defaults of the models the flags configure.
+    pyramid, scratch, train = PyramidConfig(), ScratchBudget(), TrainConfig()
+    budget, energy = BudgetConfig(), gap9_viola_energy()
+    duty, battery = DutyCycleConfig(), Battery()
 
     p = sub.add_parser("detect", help="run the multi-scale cascade detector")
     p.add_argument("image", help="input PGM image")
     p.add_argument("cascade", help="cascade file")
-    p.add_argument("--scales", type=int, default=5)
-    p.add_argument("--scale-factor", type=float, default=1.1)
-    p.add_argument("--max-side", type=int, default=30)
-    p.add_argument("--budget", type=int, default=99_600)
-    p.add_argument("--budget-mode", default="ii_only",
+    p.add_argument("--scales", type=int, default=pyramid.num_levels)
+    p.add_argument("--scale-factor", type=float, default=pyramid.scale_factor)
+    p.add_argument("--max-side", type=int, default=pyramid.max_detection_px)
+    p.add_argument("--budget", type=int, default=scratch.bytes)
+    p.add_argument("--budget-mode", default=scratch.mode,
                    choices=["ii_only", "ii_plus_input",
                             "ii_plus_input_plus_squares"])
     p.add_argument("--overlap", type=int, default=20)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--workers", type=int, default=8)
     p.add_argument("--group-iou", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 
@@ -514,15 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("negatives", help="directory of negative pool PGM images")
     p.add_argument("--out", required=True, help="cascade output file")
     p.add_argument("--log-out", default=None)
-    p.add_argument("--stages", type=int, default=15)
-    p.add_argument("--min-detection-rate", type=float, default=0.995)
-    p.add_argument("--max-fp-rate", type=float, default=0.5)
-    p.add_argument("--max-weak", type=int, default=40)
-    p.add_argument("--feature-subsample", type=float, default=1.0)
-    p.add_argument("--feature-min-size", type=int, default=1)
-    p.add_argument("--feature-stride", type=int, default=1)
-    p.add_argument("--negatives-per-stage", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stages", type=int, default=train.num_stages)
+    p.add_argument("--min-detection-rate", type=float, default=train.min_detection_rate)
+    p.add_argument("--max-fp-rate", type=float, default=train.max_fp_rate)
+    p.add_argument("--max-weak", type=int, default=train.max_weak_per_stage)
+    p.add_argument("--feature-subsample", type=float, default=train.feature_subsample)
+    p.add_argument("--feature-min-size", type=int, default=train.feature_min_size)
+    p.add_argument("--feature-stride", type=int, default=train.feature_stride)
+    p.add_argument("--negatives-per-stage", type=int, default=train.negatives_per_stage)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
@@ -539,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", default="gap9",
                    help="builtin name, file path, or name under "
                         "TRAPNODE_PLATFORM_PATH")
-    p.add_argument("--engine", default="conv_accelerator",
+    p.add_argument("--engine", default=budget.engine,
                    choices=["conv_accelerator", "worker_cores"])
-    p.add_argument("--l1", type=int, default=115_600)
-    p.add_argument("--l2", type=int, default=1_200_000)
+    p.add_argument("--l1", type=int, default=budget.l1_bytes)
+    p.add_argument("--l2", type=int, default=budget.l2_bytes)
     p.add_argument("--no-dma-overlap", dest="dma_overlap", action="store_false")
     p.add_argument("--compare-budgets", nargs="+", metavar="L1:L2",
                    default=None)
@@ -551,19 +574,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="daily energy, lifetime, and simulation")
     p.add_argument("--scenario", default=None, help="scenario JSON file")
-    p.add_argument("--compute-mj", type=float, default=4.61)
-    p.add_argument("--camera-mj", type=float, default=0.0)
-    p.add_argument("--tx-mj-per-byte", type=float, default=1.0)
-    p.add_argument("--wake-overhead-mj", type=float, default=0.0)
-    p.add_argument("--wake-period", type=float, default=30.0)
-    p.add_argument("--policy", default="counters_every_wake",
-                   choices=["counters_every_wake", "image_per_detection"])
-    p.add_argument("--counter-bytes", type=int, default=17)
-    p.add_argument("--image-bytes", type=int, default=12_700)
-    p.add_argument("--detections-per-day", type=float, default=33.0)
-    p.add_argument("--sleep-uw", type=float, default=43.0)
-    p.add_argument("--battery-mah", type=float, default=1000.0)
-    p.add_argument("--battery-v", type=float, default=3.7)
+    p.add_argument("--compute-mj", type=float, default=energy.compute_mj)
+    p.add_argument("--camera-mj", type=float, default=energy.camera_mj)
+    p.add_argument("--tx-mj-per-byte", type=float, default=energy.tx_mj_per_byte)
+    p.add_argument("--wake-overhead-mj", type=float, default=energy.wake_overhead_mj)
+    p.add_argument("--wake-period", type=float, default=duty.wake_period_s)
+    p.add_argument("--policy", default=duty.payload_policy, choices=POLICIES)
+    p.add_argument("--counter-bytes", type=int, default=duty.counter_payload_bytes)
+    p.add_argument("--image-bytes", type=int, default=duty.image_payload_bytes)
+    p.add_argument("--detections-per-day", type=float, default=duty.detections_per_day)
+    p.add_argument("--sleep-uw", type=float, default=duty.sleep_power_uw)
+    p.add_argument("--battery-mah", type=float, default=battery.capacity_mah)
+    p.add_argument("--battery-v", type=float, default=battery.voltage_v)
     p.add_argument("--simulate", default=None,
                    help="moth-arrival trace file (one timestamp per line)")
     p.add_argument("--horizon-days", type=float, default=30.0)

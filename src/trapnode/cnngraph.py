@@ -86,7 +86,11 @@ def _check_layer(layer: Layer) -> None:
         raise UnknownOpKind(f"layer {layer.name}: unknown op_kind {layer.op_kind!r}")
     cin, hin, win = layer.in_shape
     cout, hout, wout = layer.out_shape
+    if cout < 1 or hout < 1 or wout < 1:
+        raise ShapeMismatch(f"layer {layer.name}: empty output {layer.out_shape}")
     if layer.op_kind in CONV_KINDS:
+        if layer.stride < 1 or layer.groups < 1:
+            raise GraphError(f"layer {layer.name}: stride and groups must be >= 1")
         kh, kw = layer.kernel
         if layer.op_kind == "pointwise_conv2d" and (kh, kw) != (1, 1):
             raise ShapeMismatch(f"layer {layer.name}: pointwise conv must be 1x1")
@@ -132,6 +136,8 @@ class LayerGraph:
     element_bytes: int = 1
 
     def __post_init__(self):
+        if self.element_bytes < 1:
+            raise GraphError("element_bytes must be >= 1")
         shapes: dict[str, tuple[int, int, int]] = {"input": self.input_shape}
         for layer in self.layers:
             if layer.name in shapes:

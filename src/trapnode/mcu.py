@@ -1,17 +1,21 @@
 """Parametric heterogeneous-MCU description: memory tiers, transfer costs,
-compute engines, and power states.
+compute engines, and active power.
 
 Bandwidths are expressed in bytes per cycle at the compute clock. A 2D
 transfer is modeled as one 1D copy per row with a fixed per-row overhead, the
 knob that captures strided external-memory reads being far slower than
-contiguous streams. Calibration-derived values in the built-in platforms are
-flagged in the `calibrated` mapping of the shipped files.
+contiguous streams. The built-in platforms are the shipped files
+`data/gap8.json` and `data/gap9.json`; their `calibrated` mapping says which
+values are model defaults or calibration constants.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from pathlib import Path
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class UnknownTier(KeyError):
@@ -56,6 +60,8 @@ class ComputeEngine:
             raise ValueError("peak_mac_per_cycle must be positive")
         if not 0.0 < self.depthwise_derate <= 1.0:
             raise ValueError("depthwise_derate must be in (0, 1]")
+        if not (0.0 < self.utilization_std <= 1.0 and 0.0 < self.utilization_dw <= 1.0):
+            raise ValueError("utilizations must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,11 @@ class PlatformModel:
     tiers: tuple[MemoryTier, ...]
     engines: tuple[ComputeEngine, ...]
     active_power_mw: dict  # workload class -> mW
-    sleep_power_uw: float
     dma_overlap: bool = False
 
     def __post_init__(self):
+        if self.clock_hz <= 0:
+            raise ValueError(f"platform {self.name}: clock_hz must be positive")
         names = [t.name for t in self.tiers]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tier names in {names}")
@@ -111,88 +118,14 @@ def transfer_cycles(platform: PlatformModel, tier_from: str, tier_to: str,
     return rows * (row_bytes / bandwidth + src.transfer_2d_row_overhead)
 
 
-# Paper-calibrated GAP9 description. The L1 bandwidth is a model default (the
-# device spec gives only the L1:L2 ratio); the L2 value keeps the 10x ratio
-# and external paths stream 1 byte per cycle. Utilizations, row overheads,
-# and sleep power are calibration constants frozen against the measured
-# endpoints (35.3 Mcycle CNN inference; 5.8 J/day low-energy scenario).
-GAP9_CALIBRATED = {
-    "sleep_power_uw": "back-solved from the 5.8 J/day low-energy total",
-    "utilization_std": "frozen against the 35.3 Mcycle / 147 ms inference point",
-    "utilization_dw": "frozen against the 35.3 Mcycle / 147 ms inference point",
-    "worker_peak_mac_per_cycle": "aggregate 8-bit dot-product throughput, calibrated",
-    "ext_row_overhead": "strided external reads, calibrated",
-}
-
-
 def builtin_platform(name: str) -> PlatformModel:
     """Shipped device descriptions: `gap9` (with conv accelerator) or `gap8`."""
-    if name == "gap9":
-        return PlatformModel(
-            name="gap9",
-            clock_hz=240e6,
-            voltage_v=0.65,
-            tiers=(
-                MemoryTier("l1", 128_000, 8.0, 8.0, 2.0),
-                MemoryTier("l2", 1_500_000, 0.8, 0.8, 8.0),
-                MemoryTier("ext_ram", 32_000_000, 1.0, 1.0, 24.0),
-                MemoryTier("flash", 64_000_000, 1.0, 1.0, 24.0),
-            ),
-            engines=(
-                ComputeEngine(
-                    name="cluster_cores", kind="worker_cores",
-                    peak_mac_per_cycle=12.0, num_workers=8,
-                    supported_ops=frozenset({
-                        "conv2d", "depthwise_conv2d", "pointwise_conv2d",
-                        "pool", "hsigmoid", "hswish", "relu", "add",
-                        "resize", "ssd_head", "reshape",
-                    }),
-                    elementwise_bytes_per_cycle=4.0,
-                ),
-                ComputeEngine(
-                    name="ne16", kind="conv_accelerator",
-                    peak_mac_per_cycle=150.0, depthwise_derate=1.0 / 16.0,
-                    supported_ops=frozenset({
-                        "conv2d", "depthwise_conv2d", "pointwise_conv2d",
-                    }),
-                    utilization_std=0.42, utilization_dw=0.55,
-                ),
-            ),
-            active_power_mw={"viola_jones": 20.5, "cnn": 33.0},
-            sleep_power_uw=43.0,
-            dma_overlap=True,
-        )
-    if name == "gap8":
-        return PlatformModel(
-            name="gap8",
-            clock_hz=175e6,
-            voltage_v=1.2,
-            tiers=(
-                MemoryTier("l1", 64_000, 8.0, 8.0, 2.0),
-                MemoryTier("l2", 512_000, 0.8, 0.8, 8.0),
-                MemoryTier("ext_ram", 32_000_000, 1.0, 1.0, 110.0),
-                MemoryTier("flash", 64_000_000, 1.0, 1.0, 110.0),
-            ),
-            engines=(
-                ComputeEngine(
-                    name="cluster_cores", kind="worker_cores",
-                    peak_mac_per_cycle=2.0, num_workers=8,
-                    supported_ops=frozenset({
-                        "conv2d", "depthwise_conv2d", "pointwise_conv2d",
-                        "pool", "hsigmoid", "hswish", "relu", "add",
-                        "resize", "ssd_head", "reshape",
-                    }),
-                    elementwise_bytes_per_cycle=4.0,
-                ),
-            ),
-            active_power_mw={"viola_jones": 79.0, "cnn": 79.0},
-            sleep_power_uw=43.0,
-            dma_overlap=False,
-        )
-    raise UnknownPlatform(f"no builtin platform {name!r}")
+    if name not in ("gap8", "gap9"):
+        raise UnknownPlatform(f"no builtin platform {name!r}")
+    return load_platform(DATA_DIR / f"{name}.json")
 
 
-def platform_to_json(p: PlatformModel, calibrated: dict | None = None) -> str:
+def platform_to_json(p: PlatformModel) -> str:
     doc = {
         "name": p.name,
         "clock_hz": p.clock_hz,
@@ -203,11 +136,8 @@ def platform_to_json(p: PlatformModel, calibrated: dict | None = None) -> str:
             for e in p.engines
         ],
         "active_power_mw": p.active_power_mw,
-        "sleep_power_uw": p.sleep_power_uw,
         "dma_overlap": p.dma_overlap,
     }
-    if calibrated:
-        doc["calibrated"] = calibrated
     return json.dumps(doc, indent=1)
 
 
@@ -219,11 +149,10 @@ def platform_from_json(text: str) -> PlatformModel:
         voltage_v=float(doc["voltage_v"]),
         tiers=tuple(MemoryTier(**t) for t in doc["tiers"]),
         engines=tuple(
-            ComputeEngine(**{**e, "supported_ops": frozenset(e["supported_ops"])})
+            ComputeEngine(**{**e, "supported_ops": frozenset(e.get("supported_ops", ()))})
             for e in doc["engines"]
         ),
         active_power_mw=dict(doc["active_power_mw"]),
-        sleep_power_uw=float(doc["sleep_power_uw"]),
         dma_overlap=bool(doc.get("dma_overlap", False)),
     )
 

@@ -272,6 +272,9 @@ def test_power_rejects_bad_trace_line(bad, tmp_path, capsys):
     ('{"phase_energy": {"compute_mj": 4.61}', "malformed JSON"),
     ("{}", "phase_energy.compute_mj"),
     ('{"phase_energy": {"bogus": 1}}', "phase_energy.bogus"),
+    ('{"phase_energy": {"compute_mj": 4.61}, '
+     '"duty_cycle": {"counter_payload_bytes": 17.5}}',
+     "duty_cycle.counter_payload_bytes must be int"),
 ])
 def test_power_rejects_bad_scenario(text, named, tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
@@ -295,13 +298,59 @@ def test_power_rejects_overflowing_battery_energy(tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--graph", "--platform"])
-def test_cnn_rejects_malformed_json_file(flag, tmp_path, capsys):
+DATA = Path(__file__).parent.parent / "src" / "trapnode" / "data"
+
+
+def gap9_with(**fields) -> str:
+    doc = json.loads((DATA / "gap9.json").read_text())
+    return json.dumps({**doc, **fields})
+
+
+RELU = {"name": "r", "op_kind": "relu", "inputs": ["input"],
+        "in_shape": [1, 4, 4], "out_shape": [1, 4, 4]}
+
+
+@pytest.mark.parametrize("flag,body,named", [
+    pytest.param("--graph", "{bad", "malformed JSON", id="--graph"),
+    pytest.param("--platform", "{bad", "malformed JSON", id="--platform"),
+    pytest.param("--graph", "{}", "graph.name is missing", id="--graph-empty"),
+    pytest.param("--graph", "[]", "graph must be a JSON object",
+                 id="--graph-list"),
+    pytest.param("--graph", json.dumps({
+        "name": "g", "input_shape": [1, 4, 4],
+        "layers": [{**RELU, "param_count": "x"}]}),
+        "graph.layers[0].param_count must be int", id="--graph-field"),
+    pytest.param("--platform", "{}", "platform.name is missing",
+                 id="--platform-empty"),
+    pytest.param("--platform", "[]", "platform must be a JSON object",
+                 id="--platform-list"),
+    pytest.param("--platform", gap9_with(tiers=5),
+                 "platform.tiers must be a list", id="--platform-tiers"),
+    pytest.param("--platform", gap9_with(tiers=[{"name": "l1"}]),
+                 "platform.tiers[0].capacity is missing", id="--platform-tier"),
+    pytest.param("--platform", gap9_with(clock_hz=0), "platform gap9: clock_hz must be",
+                 id="--platform-value"),
+    pytest.param("--graph", json.dumps({
+        "name": "g", "input_shape": [1, 4, 4],
+        "layers": [{**RELU, "out_shape": [1, 0, 4]}]}),
+        "layer r: empty output", id="--graph-value"),
+])
+def test_cnn_rejects_malformed_json_file(flag, body, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{bad")
+    bad.write_text(body)
     rc = main(["cnn", flag, str(bad), "--out", str(tmp_path / "r.csv")])
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{bad}: malformed JSON" in err
+    assert f"{bad}: {named}" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["mbnv3_ssdlite_320x240",
+                                  "scenario_gap9_viola_low"])
+def test_cnn_rejects_data_file_that_is_not_a_platform(name, tmp_path, capsys):
+    rc = main(["cnn", "--platform", name, "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: unknown platform") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()

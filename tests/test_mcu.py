@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapnode.mcu import (ComputeEngine, MemoryTier, PlatformModel, UnknownTier,
-                          UnknownPlatform, builtin_platform, load_platform,
-                          platform_from_json, platform_to_json, transfer_cycles)
+                          UnknownPlatform, builtin_platform, platform_from_json,
+                          platform_to_json, transfer_cycles)
 
 
 def flat_platform(overhead=0.0):
@@ -16,7 +16,6 @@ def flat_platform(overhead=0.0):
         ),
         engines=(ComputeEngine("cores", "worker_cores", 2.0, num_workers=8),),
         active_power_mw={"any": 1.0},
-        sleep_power_uw=1.0,
     )
 
 
@@ -35,7 +34,6 @@ def test_gap9_description():
     cores = p.engine("worker_cores")
     assert cores.num_workers == 8
     assert p.active_power_mw == {"viola_jones": 20.5, "cnn": 33.0}
-    assert p.sleep_power_uw == 43.0
 
 
 def test_gap8_description():
@@ -57,9 +55,12 @@ def test_capacity_ordering_and_dominance():
     assert g9.tier("l2").capacity > g8.tier("l2").capacity
 
 
-def test_unknown_platform():
+# Shipped data files that are not device descriptions are not platforms.
+@pytest.mark.parametrize("name", ["gap7", "mbnv3_ssdlite_320x240",
+                                  "scenario_gap9_viola_low"])
+def test_unknown_platform(name):
     with pytest.raises(UnknownPlatform):
-        builtin_platform("gap7")
+        builtin_platform(name)
 
 
 def test_transfer_1d_at_one_byte_per_cycle():
@@ -116,15 +117,8 @@ def test_transfer_additive_and_monotone(a, b, rows):
     assert more_rows
 
 
-def test_platform_json_round_trip():
-    p = builtin_platform("gap9")
+@pytest.mark.parametrize("name", ["gap8", "gap9"])
+def test_platform_json_round_trip(name):
+    p = builtin_platform(name)
     again = platform_from_json(platform_to_json(p))
     assert again == p
-
-
-def test_shipped_platform_files_load(tmp_path):
-    from pathlib import Path
-    data = Path(__file__).parent.parent / "src" / "trapnode" / "data"
-    for name in ("gap9.json", "gap8.json"):
-        p = load_platform(data / name)
-        assert p == builtin_platform(name.removesuffix(".json"))

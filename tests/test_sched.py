@@ -35,7 +35,7 @@ def make_platform(l2_bw=2.0, ext_overhead=0.0, util=1.0, fast=False):
                               "conv2d", "depthwise_conv2d", "pointwise_conv2d"}),
                           utilization_std=util, utilization_dw=util),
         ),
-        active_power_mw={"cnn": 1.0}, sleep_power_uw=1.0, dma_overlap=True,
+        active_power_mw={"cnn": 1.0}, dma_overlap=True,
     )
 
 
