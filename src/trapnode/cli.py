@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -35,7 +37,7 @@ from .power import (POLICIES, Battery, DutyCycleConfig, PhaseEnergy,
                     daily_energy, gap9_viola_energy, lifetime, simulate,
                     wake_cycle_energy)
 from .sched import (BudgetConfig, L1PlanError, compare_budgets, estimate_latency,
-                    plan_schedule)
+                    plan_schedule, require_routable)
 from .synthetic import synth_negative_images, synth_positive_windows, synth_scene
 from .trainer import TrainConfig, train_cascade
 
@@ -288,8 +290,9 @@ def _resolve_platform(spec: str):
         candidates.append(Path(env) / f"{spec}.json")
     for c in candidates:
         if c.is_file():
-            return _load_checked(c, "platform", PlatformModel,
-                                 (MemoryTier, ComputeEngine), platform_from_json)
+            return _load_checked(
+                c, "platform", PlatformModel, (MemoryTier, ComputeEngine),
+                lambda text: require_routable(platform_from_json(text)))
     raise InputError(f"unknown platform {spec!r} (no builtin, file, or "
                      "TRAPNODE_PLATFORM_PATH match)")
 
@@ -297,8 +300,7 @@ def _resolve_platform(spec: str):
 def _latency_lines(schedule, report) -> list[str]:
     lines = ["layer,weight_home,input_home,output_home,class,"
              "compute_cycles,transfer_cycles,total_cycles"]
-    for cost in report.layers:
-        p = schedule.placement(cost.name)
+    for cost, p in zip(report.layers, schedule.placements):
         lines.append(
             f"{cost.name},{p.weight_home},{p.input_home},{p.output_home},"
             f"{cost.transfer_class},{cost.compute_cycles:.0f},"
@@ -503,6 +505,7 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- parser --
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trapnode",
@@ -514,6 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     pyramid, scratch, train = PyramidConfig(), ScratchBudget(), TrainConfig()
     budget, energy = BudgetConfig(), gap9_viola_energy()
     duty, battery = DutyCycleConfig(), Battery()
+    scan = {name: param.default
+            for name, param in inspect.signature(detect).parameters.items()}
 
     p = sub.add_parser("detect", help="run the multi-scale cascade detector")
     p.add_argument("image", help="input PGM image")
@@ -525,10 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-mode", default=scratch.mode,
                    choices=["ii_only", "ii_plus_input",
                             "ii_plus_input_plus_squares"])
-    p.add_argument("--overlap", type=int, default=20)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--workers", type=int, default=8)
-    p.add_argument("--group-iou", type=float, default=None)
+    p.add_argument("--overlap", type=int, default=scan["overlap"])
+    p.add_argument("--step", type=int, default=scan["step"])
+    p.add_argument("--workers", type=int, default=scan["workers"])
+    p.add_argument("--group-iou", type=float, default=scan["group_iou"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 
@@ -608,8 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

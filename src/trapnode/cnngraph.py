@@ -175,21 +175,6 @@ class LayerGraph:
                     )
             shapes[layer.name] = layer.out_shape
 
-    def layer(self, name: str) -> Layer:
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
-    def consumers(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {"input": []}
-        for l in self.layers:
-            out[l.name] = []
-        for l in self.layers:
-            for src in l.inputs:
-                out[src].append(l.name)
-        return out
-
     def tensor_bytes(self, shape: tuple[int, int, int]) -> int:
         c, h, w = shape
         return c * h * w * self.element_bytes

@@ -1,10 +1,19 @@
 """Memory placement and latency estimation for layer-by-layer inference.
 
-Placement is greedy in topological order: activations live in L2 while the
-liveness-aware running occupancy fits the budget and spill to external RAM
-otherwise; per-layer weights prefetch FLASH->L2 when the residual L2 budget
-allows, else stream from FLASH. Each layer gets an L1 tile plan (output row
-bands times output-channel slices) sized to the L1 budget.
+Placement is greedy in topological order over one lifetime table, built in a
+single pass over the layers: each tensor's consumer indices, and the layer
+after which it dies (its last consumer, or its producer if nothing consumes
+it). Activations live in L2 while the occupancy of the live tensors fits the
+budget. To make room for an output, the live L2 tensor whose last use lies
+farthest ahead moves to external RAM (Belady's rule, ties to the larger
+name); an output that still does not fit spills there. An output whose only
+consumer is the next, elementwise, layer stays in L1. A layer reads a tensor
+from external RAM once it was evicted at an earlier layer, else from the tier
+it was placed in; the transfer class, the reported input home and
+`Schedule.home_at` all apply that one rule. Per-layer weights prefetch
+FLASH->L2 when the residual L2 budget allows, else stream from FLASH. Each
+layer gets an L1 tile plan (output row bands times output-channel slices)
+sized to the L1 budget.
 
 Transfers route through the hierarchy (external memory reaches L1 via L2).
 An external input fetched in a single spatial pass is a contiguous 1D
@@ -23,6 +32,7 @@ from .cnngraph import CONV_KINDS, Layer, LayerGraph, count_macs, count_macs_tota
 from .mcu import PlatformModel, transfer_cycles
 
 TRANSFER_CLASSES = ("l2_resident", "ext_1d", "ext_2d")
+ROUTED_TIERS = ("l1", "l2", "ext_ram", "flash")
 
 
 class L1PlanError(ValueError):
@@ -82,9 +92,7 @@ class Schedule:
 
     def home_at(self, tensor: str, layer_index: int) -> str:
         """Tier a consumer at `layer_index` reads the tensor from."""
-        if tensor in self.evictions and layer_index > self.evictions[tensor]:
-            return "ext_ram"
-        return self.tensor_homes[tensor]
+        return _read_home(self.tensor_homes, self.evictions, tensor, layer_index)
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,18 @@ class LatencyReport:
     @property
     def mac_per_cycle(self) -> float:
         return self.total_macs / self.total_cycles if self.total_cycles else 0.0
+
+
+def require_routable(platform: PlatformModel) -> PlatformModel:
+    """`platform` itself, if it has every tier the scheduler routes data
+    through and the worker cores; else a ValueError naming what it lacks."""
+    names = {t.name for t in platform.tiers}
+    for tier in ROUTED_TIERS:
+        if tier not in names:
+            raise ValueError(f"platform {platform.name} has no tier {tier!r}")
+    if not platform.has_engine("worker_cores"):
+        raise ValueError(f"platform {platform.name} has no worker_cores engine")
+    return platform
 
 
 def _weight_bytes(layer: Layer, element_bytes: int) -> int:
@@ -162,111 +182,81 @@ def _plan_l1_tile(layer: Layer, element_bytes: int, l1_bytes: int) -> TilePlan:
     )
 
 
+def _read_home(homes: dict, evictions: dict, tensor: str, layer_index: int) -> str:
+    """Tier a layer at `layer_index` reads `tensor` from: external RAM once
+    the tensor was evicted at an earlier layer, else the tier it was placed in."""
+    if tensor in evictions and evictions[tensor] < layer_index:
+        return "ext_ram"
+    return homes[tensor]
+
+
 def plan_schedule(graph: LayerGraph, platform: PlatformModel,
                   budget: BudgetConfig) -> Schedule:
     """Greedy topological placement of activations and weights."""
     eb = graph.element_bytes
     l2_cap = min(budget.l2_bytes, platform.tier("l2").capacity)
 
-    last_use: dict[str, int] = {"input": -1}
+    # The lifetime table: each tensor's consumer indices in layer order, and
+    # the index after which it dies: its last consumer's, or its producer's
+    # if nothing consumes it.
+    uses: dict[str, list[int]] = {"input": []}
+    dies: dict[str, int] = {"input": -1}
     for i, layer in enumerate(graph.layers):
-        last_use[layer.name] = i
         for src in layer.inputs:
-            last_use[src] = i
+            uses[src].append(i)
+            dies[src] = i
+        uses[layer.name] = []
+        dies[layer.name] = i
 
     homes: dict[str, str] = {}
-    live_l2: dict[str, int] = {}
-    live_ext: dict[str, int] = {}
-    l2_used = 0
-    ext_used = 0
-    peak_l2 = 0
-    peak_ext = 0
+    # Live tensors and their bytes, by tier; occupancy is their sum.
+    live: dict[str, dict[str, int]] = {"l2": {}, "ext_ram": {}}
+    peak = {"l2": 0, "ext_ram": 0}
+    evictions: dict[str, int] = {}
+
+    def used(tier: str) -> int:
+        return sum(live[tier].values())
+
+    def hold(tier: str, name: str, nbytes: int) -> None:
+        live[tier][name] = nbytes
+        peak[tier] = max(peak[tier], used(tier))
 
     def place(name: str, nbytes: int) -> None:
-        nonlocal l2_used, ext_used, peak_l2, peak_ext
-        if l2_used + nbytes <= l2_cap:
-            homes[name] = "l2"
-            live_l2[name] = nbytes
-            l2_used += nbytes
-            peak_l2 = max(peak_l2, l2_used)
-        else:
-            homes[name] = "ext_ram"
-            live_ext[name] = nbytes
-            ext_used += nbytes
-            peak_ext = max(peak_ext, ext_used)
-
-    def release(upto: int) -> None:
-        nonlocal l2_used, ext_used
-        for name in [n for n, last in last_use.items() if last < upto]:
-            if name in live_l2:
-                l2_used -= live_l2.pop(name)
-            if name in live_ext:
-                ext_used -= live_ext.pop(name)
-            last_use.pop(name)
-
-    consumers = graph.consumers()
-    evictions: dict[str, int] = {}
-    next_use: dict[str, list[int]] = {}
-    index_of = {l.name: i for i, l in enumerate(graph.layers)}
-    for tensor, users in consumers.items():
-        next_use[tensor] = sorted(index_of[u] for u in users)
-
-    def evict_for(nbytes: int, current: int) -> None:
-        # Classic scratchpad move: push the live L2 tensor with the farthest
-        # next use out to external RAM until the new tensor fits.
-        nonlocal l2_used, ext_used, peak_ext
-        while l2_used + nbytes > l2_cap:
-            candidates = [
-                (max((u for u in next_use.get(t, []) if u > current), default=-1), t)
-                for t in live_l2
-            ]
-            candidates = [(u, t) for u, t in candidates if u > current]
-            if not candidates:
-                return
-            _, victim = max(candidates)
-            vbytes = live_l2.pop(victim)
-            l2_used -= vbytes
-            live_ext[victim] = vbytes
-            ext_used += vbytes
-            peak_ext = max(peak_ext, ext_used)
-            evictions[victim] = current
-
-    def ephemeral(i: int) -> bool:
-        # A tensor whose only consumer is the immediately following
-        # elementwise layer is chained through the L1 tile pipeline and is
-        # never written to L2 or external memory.
-        name = graph.layers[i].name
-        if i + 1 >= len(graph.layers):
-            return False
-        nxt = graph.layers[i + 1]
-        return consumers[name] == [nxt.name] and nxt.elementwise
+        homes[name] = "l2" if used("l2") + nbytes <= l2_cap else "ext_ram"
+        hold(homes[name], name, nbytes)
 
     place("input", graph.tensor_bytes(graph.input_shape))
     placements = []
-    prev_name = "input"
     for i, layer in enumerate(graph.layers):
         # Operands produced by the immediately preceding layer are tapped in
         # L1 before writeback, so elementwise consumers fetch them for free.
-        fused_input = None
-        if (layer.elementwise and prev_name in layer.inputs
-                and prev_name != "input"):
-            fused_input = prev_name
+        prev = graph.layers[i - 1].name if i else None
+        fused_input = prev if layer.elementwise and prev in layer.inputs else None
 
-        if ephemeral(i):
+        if uses[layer.name] == [i + 1] and graph.layers[i + 1].elementwise:
+            # Chained through the L1 tile pipeline into its only consumer,
+            # the next layer; never written to L2 or external memory.
             homes[layer.name] = "l1"
         else:
             nbytes = graph.tensor_bytes(layer.out_shape)
-            if l2_used + nbytes > l2_cap and nbytes <= l2_cap:
-                evict_for(nbytes, i)
+            # Belady's rule: until the output fits, move the live L2 tensor
+            # whose last use lies farthest ahead out to external RAM.
+            while nbytes <= l2_cap and used("l2") + nbytes > l2_cap:
+                victim = max(((dies[t], t) for t in live["l2"] if dies[t] > i),
+                             default=None)
+                if victim is None:
+                    break
+                _, name = victim
+                hold("ext_ram", name, live["l2"].pop(name))
+                evictions[name] = i
             place(layer.name, nbytes)
         wbytes = _weight_bytes(layer, eb)
-        weight_home = "l2" if wbytes and l2_used + wbytes <= l2_cap else "flash"
+        weight_home = "l2" if wbytes and used("l2") + wbytes <= l2_cap else "flash"
         tile = _plan_l1_tile(layer, eb, budget.l1_bytes)
 
-        op_homes = {homes[s] if s not in evictions or evictions[s] >= i
-                    else "ext_ram" for s in layer.inputs}
+        in_homes = [_read_home(homes, evictions, s, i) for s in layer.inputs]
         out_home = homes[layer.name]
-        if "ext_ram" not in op_homes and out_home != "ext_ram":
+        if "ext_ram" not in in_homes and out_home != "ext_ram":
             tclass = "l2_resident"
         elif tile.spatial_passes == 1 and tile.cout_passes == 1:
             tclass = "ext_1d"
@@ -274,15 +264,15 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
             tclass = "ext_2d"
         placements.append(LayerPlacement(
             name=layer.name, weight_home=weight_home,
-            input_home=homes[layer.inputs[0]], output_home=out_home,
+            input_home=in_homes[0], output_home=out_home,
             transfer_class=tclass, tile=tile, fused_input=fused_input,
         ))
-        release(i + 1)
-        prev_name = layer.name
+        for tensors in live.values():
+            for name in [t for t in tensors if dies[t] <= i]:
+                del tensors[name]
 
-    return Schedule(tuple(placements), homes, peak_l2, peak_ext, evictions)
-
-
+    return Schedule(tuple(placements), homes, peak["l2"], peak["ext_ram"],
+                    evictions)
 
 
 def _fetch_cycles(platform: PlatformModel, home: str, nbytes: int,
@@ -345,8 +335,7 @@ def estimate_latency(schedule: Schedule, graph: LayerGraph,
     for tensor, at in schedule.evictions.items():
         evict_bytes[at] = evict_bytes.get(at, 0) + graph.tensor_bytes(shapes[tensor])
 
-    for i, layer in enumerate(graph.layers):
-        p = schedule.placement(layer.name)
+    for i, (layer, p) in enumerate(zip(graph.layers, schedule.placements)):
         compute = _layer_compute_cycles(layer, platform, budget.engine)
 
         tile = p.tile

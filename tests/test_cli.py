@@ -1,11 +1,13 @@
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trapnode.cli import main
+from trapnode.cli import build_parser, main
+from trapnode.detector import detect
 from trapnode.imaging import save_pgm
 from trapnode.synthetic import synth_scene
 
@@ -155,6 +157,19 @@ def test_cnn_compare_budgets(tmp_path):
     assert "# monotone=1" in out
 
 
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param([], "476acddb605700013d521e5682d33c40"
+                     "433850934cd119f675915551532e6301", id="default"),
+    pytest.param(["--l2", "267000"], "6c1622c1e753ae93a28b1aa4f41a4985"
+                 "e593b68d33d9055a4be6af6b4ca5db12", id="l2-267000"),
+])
+def test_cnn_report_pinned(argv, digest, tmp_path):
+    """The default report (nothing evicted) and one whose L2 budget forces
+    evictions, pinned by sha-256."""
+    out = run_to_file(["cnn"] + argv, tmp_path / "cnn.csv")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_power_command_defaults(tmp_path):
     out = run_to_file(["power", "--wake-period", "900"], tmp_path / "p.csv").decode()
     daily = float(next(l for l in out.splitlines()
@@ -199,6 +214,13 @@ def test_exit_code_constraint_violation(workdir, capsys):
                "--budget", "100"])
     assert rc == 4
     assert "constraint" in capsys.readouterr().err
+
+
+def test_detect_flag_defaults_are_detect_defaults():
+    args = build_parser().parse_args(["detect", "img.pgm", "c.json"])
+    params = inspect.signature(detect).parameters
+    for name in ("overlap", "step", "workers", "group_iou"):
+        assert getattr(args, name) == params[name].default
 
 
 def test_usage_error_exit_code():
@@ -299,11 +321,11 @@ def test_power_rejects_overflowing_battery_energy(tmp_path, capsys):
 
 
 DATA = Path(__file__).parent.parent / "src" / "trapnode" / "data"
+GAP9 = json.loads((DATA / "gap9.json").read_text())
 
 
 def gap9_with(**fields) -> str:
-    doc = json.loads((DATA / "gap9.json").read_text())
-    return json.dumps({**doc, **fields})
+    return json.dumps({**GAP9, **fields})
 
 
 RELU = {"name": "r", "op_kind": "relu", "inputs": ["input"],
@@ -330,6 +352,12 @@ RELU = {"name": "r", "op_kind": "relu", "inputs": ["input"],
                  "platform.tiers[0].capacity is missing", id="--platform-tier"),
     pytest.param("--platform", gap9_with(clock_hz=0), "platform gap9: clock_hz must be",
                  id="--platform-value"),
+    pytest.param("--platform", gap9_with(
+        tiers=[t for t in GAP9["tiers"] if t["name"] != "flash"]),
+        "platform gap9 has no tier 'flash'", id="--platform-no-flash"),
+    pytest.param("--platform", gap9_with(
+        engines=[e for e in GAP9["engines"] if e["kind"] != "worker_cores"]),
+        "platform gap9 has no worker_cores engine", id="--platform-no-cores"),
     pytest.param("--graph", json.dumps({
         "name": "g", "input_shape": [1, 4, 4],
         "layers": [{**RELU, "out_shape": [1, 0, 4]}]}),

@@ -272,3 +272,16 @@ def test_shipped_graph_ext_arena_bound():
     # the externally allocated arena stays within 1.6 MB
     assert schedule.peak_ext_bytes <= int(1.6 * 2 ** 20)
     assert schedule.peak_l2_bytes <= 1_200_000
+
+
+def test_input_home_follows_evictions():
+    """A placement's input_home is the tier its first input is read from:
+    external RAM once that input was evicted at an earlier layer."""
+    g = build_mbnv3_ssdlite()
+    schedule = plan_schedule(g, builtin_platform("gap9"),
+                             BudgetConfig(l2_bytes=267_000))
+    read_evicted = 0
+    for i, (layer, p) in enumerate(zip(g.layers, schedule.placements)):
+        assert p.input_home == schedule.home_at(layer.inputs[0], i)
+        read_evicted += schedule.evictions.get(layer.inputs[0], i) < i
+    assert read_evicted
