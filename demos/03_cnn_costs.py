@@ -5,11 +5,10 @@ compute actually lives.
 
 from collections import defaultdict
 
-from trapnode.cnngraph import (build_mbnv3_ssdlite, count_macs,
-                               count_macs_total, count_params_total,
-                               dws_savings)
+from trapnode.cnngraph import (SHIPPED_GRAPH, count_macs, count_macs_total,
+                               count_params_total, dws_savings, load_graph)
 
-graph = build_mbnv3_ssdlite()
+graph = load_graph(SHIPPED_GRAPH)
 macs = count_macs_total(graph)
 params = count_params_total(graph)
 

@@ -3,11 +3,11 @@ the layer-by-layer schedule, the L2-resident vs external-memory breakdown,
 and the effect of shrinking the on-chip buffers.
 """
 
-from trapnode.cnngraph import build_mbnv3_ssdlite
+from trapnode.cnngraph import SHIPPED_GRAPH, load_graph
 from trapnode.mcu import builtin_platform
 from trapnode.sched import BudgetConfig, compare_budgets, estimate_latency, plan_schedule
 
-graph = build_mbnv3_ssdlite()
+graph = load_graph(SHIPPED_GRAPH)
 platform = builtin_platform("gap9")
 
 big = BudgetConfig(l1_bytes=115_600, l2_bytes=1_200_000,

@@ -19,9 +19,9 @@ from .trainer import (TrainConfig, TrainSample, enumerate_features,
 from .evaluator import EvalReport, iou, match_detections
 from .mcu import (ComputeEngine, MemoryTier, PlatformModel, builtin_platform,
                   transfer_cycles)
-from .cnngraph import (Layer, LayerGraph, build_mbnv3_ssdlite, count_macs,
+from .cnngraph import (SHIPPED_GRAPH, Layer, LayerGraph, count_macs,
                        count_macs_total, count_params_total, dws_savings,
-                       load_graph, save_graph)
+                       load_graph)
 from .sched import (BudgetConfig, LatencyReport, Schedule, compare_budgets,
                     estimate_latency, plan_schedule)
 from .power import (Battery, DutyCycleConfig, EnergyLedger, PhaseEnergy,

@@ -24,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .cascade import CascadeFormatError, load_cascade, save_cascade
-from .cnngraph import (Layer, LayerGraph, count_macs_total, count_params_total,
-                       graph_from_json, load_graph)
+from .cnngraph import (SHIPPED_GRAPH, Layer, LayerGraph, count_macs_total,
+                       count_params_total, graph_from_json, load_graph)
 from .detector import (BudgetTooSmall, Detection, PyramidConfig, ScratchBudget,
                        detect)
 from .evaluator import match_by_image
 from .imaging import GrayImage, PgmError, load_pgm, save_pgm
 from .integral import Rect
-from .mcu import (DATA_DIR, ComputeEngine, MemoryTier, PlatformModel,
+from .mcu import (ComputeEngine, MemoryTier, PlatformModel,
                   UnknownPlatform, builtin_platform, platform_from_json)
 from .power import (POLICIES, Battery, DutyCycleConfig, PhaseEnergy,
                     daily_energy, gap9_viola_energy, lifetime, simulate,
@@ -74,6 +74,11 @@ def _read_image(path: Path) -> GrayImage:
         raise InputError(f"image not found: {path}") from None
     except PgmError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _require_finite(what: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {value}")
 
 
 # The JSON types of the scalar field annotations of models read from files.
@@ -144,6 +149,8 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_detect(args) -> int:
     image_path = Path(args.image)
     cascade_path = Path(args.cascade)
+    _require_finite("--scale-factor", args.scale_factor)
+    _require_finite("--group-iou", args.group_iou)
     img = _read_image(image_path)
     try:
         cascade = load_cascade(cascade_path)
@@ -317,9 +324,10 @@ def _latency_lines(schedule, report) -> list[str]:
 
 
 def cmd_cnn(args) -> int:
-    graph_path = Path(args.graph) if args.graph else DATA_DIR / "mbnv3_ssdlite_320x240.json"
-    graph = (_load_checked(graph_path, "graph", LayerGraph, (Layer,), graph_from_json)
-             if args.graph else load_graph(graph_path))  # the shipped one is trusted
+    graph_path = Path(args.graph)
+    graph = (load_graph(graph_path) if graph_path == SHIPPED_GRAPH  # trusted
+             else _load_checked(graph_path, "graph", LayerGraph, (Layer,),
+                                graph_from_json))
     platform = _resolve_platform(args.platform)
 
     params = {
@@ -331,9 +339,16 @@ def cmd_cnn(args) -> int:
                  f"params={count_params_total(graph)}")
 
     if args.compare_budgets:
+        if len(args.compare_budgets) < 2:
+            raise InputError("--compare-budgets needs at least two L1:L2 pairs, "
+                             f"got only {args.compare_budgets[0]!r}")
         budgets = []
         for pair in args.compare_budgets:
-            l1, l2 = (int(v) for v in pair.split(":"))
+            try:
+                l1, l2 = (int(v) for v in pair.split(":"))
+            except ValueError:
+                raise InputError(f"--compare-budgets: bad pair {pair!r}, "
+                                 "expected L1:L2 in bytes") from None
             budgets.append(BudgetConfig(l1, l2, args.engine, args.dma_overlap))
         comparison = compare_budgets(graph, platform, budgets)
         for budget, rep in zip(comparison.budgets, comparison.reports):
@@ -354,11 +369,6 @@ def cmd_cnn(args) -> int:
 
 
 # ----------------------------------------------------------------- power --
-
-def _require_finite(what: str, value) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InputError(f"{what} must be a finite number, got {value}")
-
 
 # Scenario file sections, each the keyword arguments of one power model.
 SCENARIO_SECTIONS = {"phase_energy": PhaseEnergy, "duty_cycle": DutyCycleConfig,
@@ -562,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cnn", help="schedule a CNN graph and estimate latency")
-    p.add_argument("--graph", default=None,
+    p.add_argument("--graph", default=str(SHIPPED_GRAPH),
                    help="graph file (default: shipped mbnv3_ssdlite_320x240)")
     p.add_argument("--platform", default="gap9",
                    help="builtin name, file path, or name under "

@@ -8,12 +8,19 @@ multiply-accumulates and bytes each layer moves. Activations and weights are
 Graph files are JSON: {"name", "element_bytes", "input_shape", "layers":
 [{name, op_kind, inputs, in_shape, out_shape, kernel, stride, padding,
 groups, param_count, elementwise}]}.
+
+`SHIPPED_GRAPH`, the only description of the node's network, transcribes the
+reduced-tail MobileNetV3-Large backbone, SSDLite heads at six scales, and a
+zero-MAC resize from the 320x240 camera raster to the 320x320 input.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
+from pathlib import Path
+
+SHIPPED_GRAPH = Path(__file__).parent / "data" / "mbnv3_ssdlite_320x240.json"
 
 OP_KINDS = frozenset({
     "conv2d", "depthwise_conv2d", "pointwise_conv2d", "pool",
@@ -236,176 +243,3 @@ def graph_from_json(text: str) -> LayerGraph:
 def load_graph(path) -> LayerGraph:
     with open(path, "r", encoding="ascii") as fh:
         return graph_from_json(fh.read())
-
-
-def save_graph(graph: LayerGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_json(graph))
-
-
-def _make_divisible(v: float, divisor: int = 8) -> int:
-    new_v = max(divisor, int(v + divisor / 2) // divisor * divisor)
-    if new_v < 0.9 * v:
-        new_v += divisor
-    return new_v
-
-
-class _Builder:
-    def __init__(self, name: str, input_shape: tuple[int, int, int]):
-        self.name = name
-        self.input_shape = input_shape
-        self.layers: list[Layer] = []
-        self.counter = 0
-
-    def _shape(self, src: str) -> tuple[int, int, int]:
-        if src == "input":
-            return self.input_shape
-        for l in self.layers:
-            if l.name == src:
-                return l.out_shape
-        raise KeyError(src)
-
-    def add(self, op_kind: str, src, out_shape=None, kernel=(1, 1), stride=1,
-            padding=0, groups=1, name=None, elementwise=False) -> str:
-        inputs = (src,) if isinstance(src, str) else tuple(src)
-        in_shape = self._shape(inputs[0])
-        if out_shape is None:
-            out_shape = in_shape
-        elementwise = elementwise or op_kind in ("hsigmoid", "hswish", "relu", "add")
-        self.counter += 1
-        name = name or f"{op_kind}_{self.counter}"
-        params = 0
-        if op_kind in CONV_KINDS:
-            params = conv_param_count(kernel, in_shape[0], out_shape[0], groups)
-        self.layers.append(Layer(
-            name=name, op_kind=op_kind, inputs=inputs, in_shape=in_shape,
-            out_shape=tuple(out_shape), kernel=tuple(kernel), stride=stride,
-            padding=padding, groups=groups, param_count=params,
-            elementwise=elementwise,
-        ))
-        return name
-
-    def conv(self, src: str, cout: int, k: int, stride: int = 1,
-             depthwise: bool = False, name=None) -> str:
-        cin, h, w = self._shape(src)
-        pad = k // 2
-        hout = (h + 2 * pad - k) // stride + 1
-        wout = (w + 2 * pad - k) // stride + 1
-        if depthwise:
-            return self.add("depthwise_conv2d", src, (cin, hout, wout),
-                            kernel=(k, k), stride=stride, padding=pad,
-                            groups=cin, name=name)
-        kind = "pointwise_conv2d" if k == 1 else "conv2d"
-        return self.add(kind, src, (cout, hout, wout), kernel=(k, k),
-                        stride=stride, padding=pad, name=name)
-
-    def act(self, src: str, kind: str) -> str:
-        return self.add(kind, src, elementwise=True)
-
-    def se(self, src: str) -> str:
-        # Squeeze-excite: the channel gate is computed at (C,1,1), broadcast
-        # back over the map, and merged elementwise. The merge is a multiply
-        # on hardware; byte- and MAC-wise it costs the same as the add used
-        # to stand in for it here.
-        c, h, w = self._shape(src)
-        sq = _make_divisible(c // 4)
-        pooled = self.add("pool", src, (c, 1, 1), kernel=(h, w),
-                          elementwise=True)
-        fc1 = self.conv(pooled, sq, 1)
-        r = self.act(fc1, "relu")
-        fc2 = self.conv(r, c, 1)
-        gate = self.act(fc2, "hsigmoid")
-        spread = self.add("resize", gate, (c, h, w), elementwise=True)
-        return self.add("add", (spread, src))
-
-    def build(self, element_bytes: int = 1) -> LayerGraph:
-        return LayerGraph(self.name, self.input_shape, tuple(self.layers),
-                          element_bytes)
-
-
-def build_mbnv3_ssdlite(input_h: int = 240, input_w: int = 320,
-                        num_classes: int = 91, anchors: int = 6,
-                        reduce_tail: bool = True) -> LayerGraph:
-    """MobileNetV3-Large + SSDLite detection graph.
-
-    The camera raster (default 320x240) is resized to the model's native
-    320x320 input by a zero-MAC front layer. Channel widths follow the
-    standard large configuration with the reduced tail used by the 320-input
-    detection variant; heads regress `anchors` boxes per cell over
-    `num_classes` classes at six feature-map scales.
-    """
-    b = _Builder("mbnv3_ssdlite", (3, input_h, input_w))
-    x = b.add("resize", "input", (3, 320, 320))
-
-    x = b.conv(x, 16, 3, stride=2, name="stem")
-    x = b.act(x, "hswish")
-
-    # (kernel, expanded, out, SE, activation, stride)
-    rows = [
-        (3, 16, 16, False, "relu", 1),
-        (3, 64, 24, False, "relu", 2),
-        (3, 72, 24, False, "relu", 1),
-        (5, 72, 40, True, "relu", 2),
-        (5, 120, 40, True, "relu", 1),
-        (5, 120, 40, True, "relu", 1),
-        (3, 240, 80, False, "hswish", 2),
-        (3, 200, 80, False, "hswish", 1),
-        (3, 184, 80, False, "hswish", 1),
-        (3, 184, 80, False, "hswish", 1),
-        (3, 480, 112, True, "hswish", 1),
-        (3, 672, 112, True, "hswish", 1),
-        (5, 672, 160, True, "hswish", 2),
-        (5, 960, 160, True, "hswish", 1),
-        (5, 960, 160, True, "hswish", 1),
-    ]
-    if reduce_tail:
-        rows[-3] = (5, 672, 80, True, "hswish", 2)
-        rows[-2] = (5, 480, 80, True, "hswish", 1)
-        rows[-1] = (5, 480, 80, True, "hswish", 1)
-    last_conv_ch = 480 if reduce_tail else 960
-
-    c4 = None
-    for i, (k, exp, cout, use_se, nl, stride) in enumerate(rows):
-        cin = b._shape(x)[0]
-        block_in = x
-        if exp != cin:
-            x = b.conv(x, exp, 1)
-            x = b.act(x, nl)
-        if i == len(rows) - 3:
-            c4 = x  # detection tap: expanded features before the stride-2 dw
-        x = b.conv(x, exp, k, stride=stride, depthwise=True)
-        x = b.act(x, nl)
-        if use_se:
-            x = b.se(x)
-        x = b.conv(x, cout, 1)
-        if stride == 1 and cin == cout:
-            x = b.add("add", (x, block_in))
-
-    x = b.conv(x, last_conv_ch, 1, name="tail_conv")
-    x = b.act(x, "hswish")
-    c5 = x
-
-    # Extra downsampling feature maps: pw -> dw s2 -> pw, ReLU6-style.
-    features = [c4, c5]
-    extra_channels = [512, 256, 256, 128]
-    for out_ch in extra_channels:
-        mid = out_ch // 2
-        x = b.conv(x, mid, 1)
-        x = b.act(x, "relu")
-        x = b.conv(x, mid, 3, stride=2, depthwise=True)
-        x = b.act(x, "relu")
-        x = b.conv(x, out_ch, 1)
-        x = b.act(x, "relu")
-        features.append(x)
-
-    # SSDLite heads: depthwise-separable 3x3 per feature map.
-    head_outputs = []
-    for i, feat in enumerate(features):
-        for branch, per_anchor in (("cls", num_classes), ("reg", 4)):
-            d = b.conv(feat, 0, 3, depthwise=True, name=f"{branch}{i}_dw")
-            d = b.act(d, "relu")
-            d = b.conv(d, anchors * per_anchor, 1, name=f"{branch}{i}_pw")
-            head_outputs.append(d)
-
-    b.add("ssd_head", tuple(head_outputs), (1, 1, 1), name="box_decode")
-    return b.build(element_bytes=1)

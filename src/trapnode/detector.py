@@ -44,8 +44,9 @@ class PyramidConfig:
     max_detection_px: int = 30
 
     def __post_init__(self):
-        if self.scale_factor <= 1.0:
-            raise ValueError("scale_factor must be > 1")
+        if not 1.0 < self.scale_factor < math.inf:
+            raise ValueError(f"scale_factor must be a finite number > 1, "
+                             f"got {self.scale_factor}")
         if self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
 
@@ -134,9 +135,14 @@ def plan_tiles(level_w: int, level_h: int, budget: ScratchBudget,
 
     Each tile's core region covers the window origins from its own origin up
     to the next tile's origin (the last tile reaches the raster edge), so the
-    overlap strip shared by two tiles is owned by the later one.
+    overlap strip shared by two tiles is owned by the later one. A window
+    owned by a tile fits inside it only if `overlap` >= max(window) - 1, so a
+    smaller overlap is rejected.
     """
     win_w, win_h = window
+    if overlap < max(window) - 1:
+        raise ValueError(f"overlap {overlap} is below window size - 1 = "
+                         f"{max(window) - 1}; tile edges would lose windows")
     bpp = budget.bytes_per_pixel
     if win_w * win_h * bpp > budget.bytes:
         raise BudgetTooSmall(
@@ -263,6 +269,8 @@ def detect(img: GrayImage, c: Cascade,
     budget = budget or ScratchBudget()
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if group_iou is not None and not 0.0 < group_iou <= 1.0:
+        raise ValueError(f"group_iou must be in (0, 1], got {group_iou}")
 
     levels = build_pyramid(img, cfg)
     window = (c.window_w, c.window_h)

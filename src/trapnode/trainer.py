@@ -31,7 +31,7 @@ import numpy as np
 
 from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier, eval_grid,
                       score_stage)
-from .detector import PyramidConfig
+from .detector import PyramidConfig, build_pyramid
 from .imaging import GrayImage, downscale
 from .integral import Rect, _padded_prefix_sums, build_integral
 
@@ -578,13 +578,12 @@ def _mining_batches(neg_images: list[GrayImage], win_w: int, win_h: int,
 class _PoolGrid:
     """The windows the detector scans over the negative pool.
 
-    Each pool image is expanded once into the levels of the default
-    `PyramidConfig()` that `detect` builds for it (level s is the image
-    downscaled to floor(W/f^s) x floor(H/f^s)), keeping the levels that still
-    hold a window. The windows
-    of level raster r, at the detector's step of one pixel, are numbered in
-    pool order (raster, then row, then column) from `offsets[r]`, so the
-    probe sample and the mining scan share one numbering.
+    Each pool image that holds a window is expanded once by the detector's
+    `build_pyramid` at the default `PyramidConfig()`, keeping its levels up to
+    the first one too small for a window. The windows of level raster r, at
+    the detector's step of one pixel, are numbered in pool order (raster,
+    then row, then column) from `offsets[r]`, so the probe sample and the
+    mining scan share one numbering.
 
     Survivors are kept per raster across calls: stages only ever get
     appended, so a later scan evaluates just the new stages, and only on the
@@ -592,16 +591,15 @@ class _PoolGrid:
     """
 
     def __init__(self, neg_images: list[GrayImage], win_w: int, win_h: int):
-        pyramid = PyramidConfig()
         self.win_w, self.win_h = win_w, win_h
         self.rasters: list[GrayImage] = []
         for img in neg_images:
-            for s in range(pyramid.num_levels):
-                f = pyramid.scale_factor ** s
-                w, h = int(img.width / f), int(img.height / f)
-                if w < win_w or h < win_h:
+            if img.width < win_w or img.height < win_h:
+                continue
+            for level in build_pyramid(img, PyramidConfig()):
+                if level.width < win_w or level.height < win_h:
                     break
-                self.rasters.append(downscale(img, w, h) if s else img)
+                self.rasters.append(level)
         self.cols = np.array([r.width - win_w + 1 for r in self.rasters],
                              dtype=np.int64)
         rows = np.array([r.height - win_h + 1 for r in self.rasters],

@@ -14,7 +14,8 @@ import pytest
 from conftest import (ACCEPTANCE_TRAIN_CONFIG, build_holdout, make_probe_cascade,
                       random_image)
 from trapnode.cascade import eval_window
-from trapnode.cnngraph import build_mbnv3_ssdlite, count_macs_total, count_params_total
+from trapnode.cnngraph import (SHIPPED_GRAPH, count_macs_total, count_params_total,
+                               load_graph)
 from trapnode.detector import (PyramidConfig, ScratchBudget, detect, plan_tiles)
 from trapnode.evaluator import iou, match_detections
 from trapnode.imaging import GrayImage
@@ -202,7 +203,7 @@ def test_criterion_07_evaluator_oracle():
 
 def test_criterion_08_mac_param_totals():
     """Shipped graph within +-10% of 3.44M parameters and 584M MACs."""
-    g = build_mbnv3_ssdlite()
+    g = load_graph(SHIPPED_GRAPH)
     macs = count_macs_total(g)
     params = count_params_total(g)
     assert abs(macs - 584e6) / 584e6 <= 0.10
@@ -213,7 +214,7 @@ def test_criterion_08_mac_param_totals():
 def test_criterion_09_latency_endpoints():
     """GAP9 accelerator point within +-20% of 35.3M cycles / 147 ms; budget
     comparison speedup in [1.2, 1.6] with L2-resident share >= 70%."""
-    g = build_mbnv3_ssdlite()
+    g = load_graph(SHIPPED_GRAPH)
     p = builtin_platform("gap9")
     big = BudgetConfig(l1_bytes=115_600, l2_bytes=1_200_000,
                        engine="conv_accelerator", dma_overlap=True)

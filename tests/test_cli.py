@@ -157,6 +157,21 @@ def test_cnn_compare_budgets(tmp_path):
     assert "# monotone=1" in out
 
 
+@pytest.mark.parametrize("pairs,bad", [
+    (["1:2:3", "46700:267000"], "'1:2:3'"),
+    (["abc", "46700:267000"], "'abc'"),
+    (["46700:267000", "5"], "'5'"),
+    (["46700:267000"], "'46700:267000'"),
+])
+def test_cnn_rejects_bad_compare_budgets(pairs, bad, tmp_path, capsys):
+    rc = main(["cnn", "--compare-budgets", *pairs, "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--compare-budgets" in err and bad in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("argv,digest", [
     pytest.param([], "476acddb605700013d521e5682d33c40"
                      "433850934cd119f675915551532e6301", id="default"),
@@ -214,6 +229,37 @@ def test_exit_code_constraint_violation(workdir, capsys):
                "--budget", "100"])
     assert rc == 4
     assert "constraint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--scale-factor", "--group-iou"])
+def test_detect_rejects_non_finite_flags(flag, value, workdir, capsys):
+    scene = workdir / "corpus" / "scenes" / "scene_00000.pgm"
+    out = workdir / "non_finite.csv"
+    rc = main(["detect", str(scene), str(workdir / "cascade.json"),
+               f"{flag}={value}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--group-iou=0"], "group_iou"),
+    (["--group-iou=-1"], "group_iou"),
+    (["--overlap", "5", "--budget", "6000"], "overlap 5"),
+])
+def test_detect_rejects_out_of_range_flags(argv, named, workdir, capsys):
+    scene = workdir / "corpus" / "scenes" / "scene_00000.pgm"
+    out = workdir / "out_of_range.csv"
+    rc = main(["detect", str(scene), str(workdir / "cascade.json"), *argv,
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
 
 
 def test_detect_flag_defaults_are_detect_defaults():

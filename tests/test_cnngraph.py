@@ -1,15 +1,11 @@
-from pathlib import Path
-
 import pytest
 
-from trapnode.cnngraph import (BadParamCount, GraphCycle, GraphError, Layer,
-                               LayerGraph, ShapeMismatch, UnknownOpKind,
-                               build_mbnv3_ssdlite, conv_param_count,
-                               count_macs, count_macs_total,
-                               count_params_total, dws_savings,
-                               graph_from_json, graph_to_json, load_graph)
-
-DATA = Path(__file__).parent.parent / "src" / "trapnode" / "data"
+from trapnode.cnngraph import (SHIPPED_GRAPH, BadParamCount, GraphCycle,
+                               GraphError, Layer, LayerGraph, ShapeMismatch,
+                               UnknownOpKind, conv_param_count, count_macs,
+                               count_macs_total, count_params_total,
+                               dws_savings, graph_from_json, graph_to_json,
+                               load_graph)
 
 
 def conv_layer(name="c1", cin=16, cout=16, hw=10, k=3, stride=1, groups=1,
@@ -115,7 +111,7 @@ def test_dws_savings_values():
 
 
 def test_shipped_graph_loads_and_hits_totals():
-    g = load_graph(DATA / "mbnv3_ssdlite_320x240.json")
+    g = load_graph(SHIPPED_GRAPH)
     macs = count_macs_total(g)
     params = count_params_total(g)
     assert abs(macs - 584e6) / 584e6 <= 0.10
@@ -126,13 +122,8 @@ def test_shipped_graph_loads_and_hits_totals():
     assert count_macs(g.layers[0]) == 0
 
 
-def test_shipped_graph_matches_builder():
-    g = load_graph(DATA / "mbnv3_ssdlite_320x240.json")
-    assert g == build_mbnv3_ssdlite()
-
-
 def test_graph_json_round_trip():
-    g = build_mbnv3_ssdlite()
+    g = load_graph(SHIPPED_GRAPH)
     assert graph_from_json(graph_to_json(g)) == g
 
 

@@ -104,6 +104,23 @@ def test_plan_tiles_coverage_and_core_partition():
                 )
 
 
+def test_plan_tiles_overlap_floor_is_window_minus_one():
+    """An overlap below the window minus one loses windows that straddle
+    tile edges, so it is rejected; at the floor, tiling loses nothing."""
+    budget = ScratchBudget(bytes=6_000)
+    with pytest.raises(ValueError, match="overlap 18"):
+        plan_tiles(120, 100, budget, overlap=18)
+    assert len(plan_tiles(120, 100, budget, overlap=19)) > 1
+    rng = np.random.default_rng(42)
+    cascade = make_probe_cascade(seed=5)
+    for _ in range(3):
+        img = random_image(rng, 120, 100)
+        tiled = detect(img, cascade, budget=budget, overlap=19, workers=1)
+        untiled = detect(img, cascade, budget=ScratchBudget(bytes=10**9),
+                         workers=1)
+        assert tiled == untiled
+
+
 # ------------------------------------------------------------------- scan --
 
 def test_scan_tile_accept_all_combinatorics():
@@ -212,3 +229,17 @@ def test_detect_group_iou_filter():
     for i, a in enumerate(dets):
         for b in dets[i + 1:]:
             assert iou(a.bbox, b.bbox) < 0.3
+
+
+@pytest.mark.parametrize("group_iou", [0.0, -1.0, 1.5, math.nan])
+def test_detect_rejects_group_iou_outside_unit_interval(group_iou):
+    img = random_image(np.random.default_rng(43), 40, 40)
+    with pytest.raises(ValueError, match="group_iou"):
+        detect(img, accept_all_cascade(), cfg=PyramidConfig(num_levels=1),
+               workers=1, group_iou=group_iou)
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_pyramid_config_rejects_non_finite_scale_factor(factor):
+    with pytest.raises(ValueError, match="scale_factor"):
+        PyramidConfig(scale_factor=factor)

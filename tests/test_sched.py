@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trapnode.cnngraph import (Layer, LayerGraph, build_mbnv3_ssdlite,
-                               conv_param_count, count_macs)
+from trapnode.cnngraph import (SHIPPED_GRAPH, Layer, LayerGraph,
+                               conv_param_count, count_macs, load_graph)
 from trapnode.mcu import ComputeEngine, MemoryTier, PlatformModel, builtin_platform
 from trapnode.sched import (BudgetConfig, L1PlanError, compare_budgets,
                             estimate_latency, plan_schedule, run_model)
@@ -241,7 +241,7 @@ def test_budget_monotonicity_on_random_graphs():
 
 
 def test_breakdown_conservation():
-    g = build_mbnv3_ssdlite()
+    g = load_graph(SHIPPED_GRAPH)
     p = builtin_platform("gap9")
     budget = BudgetConfig(dma_overlap=True)
     rep = run_model(g, p, budget)
@@ -266,7 +266,7 @@ def test_l1_plan_error_identifies_layer():
 
 
 def test_shipped_graph_ext_arena_bound():
-    g = build_mbnv3_ssdlite()
+    g = load_graph(SHIPPED_GRAPH)
     p = builtin_platform("gap9")
     schedule = plan_schedule(g, p, BudgetConfig(dma_overlap=True))
     # the externally allocated arena stays within 1.6 MB
@@ -277,7 +277,7 @@ def test_shipped_graph_ext_arena_bound():
 def test_input_home_follows_evictions():
     """A placement's input_home is the tier its first input is read from:
     external RAM once that input was evicted at an earlier layer."""
-    g = build_mbnv3_ssdlite()
+    g = load_graph(SHIPPED_GRAPH)
     schedule = plan_schedule(g, builtin_platform("gap9"),
                              BudgetConfig(l2_bytes=267_000))
     read_evicted = 0
