@@ -332,7 +332,8 @@ def cmd_cnn(args) -> int:
 
     params = {
         "platform": args.platform, "engine": args.engine,
-        "l1": args.l1, "l2": args.l2, "dma_overlap": args.dma_overlap,
+        "l1": args.l1, "l2": args.l2,
+        "dma_overlap": args.dma_overlap and platform.dma_overlap,
     }
     lines = manifest_lines("cnn", params, {"graph": graph_path})
     lines.append(f"# graph {graph.name}: macs={count_macs_total(graph)} "

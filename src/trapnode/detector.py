@@ -179,26 +179,19 @@ def plan_tiles(level_w: int, level_h: int, budget: ScratchBudget,
     return tiles
 
 
-@dataclass(frozen=True)
-class TileHit:
-    """Tile-local accepted window."""
-
-    x: int
-    y: int
-    score: float
-
-
-def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> list[TileHit]:
+def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> np.ndarray:
     """Evaluate every window of a tile at the given stride.
 
     Builds the tile-local integral image(s) and returns the accepted windows
-    with their final-stage margin. A tile smaller than the window yields no
-    hits.
+    as an (n, 3) float64 array of tile-local (x, y, margin) rows, where
+    margin is the final-stage score minus its threshold. Rows follow scan
+    order: y, then x, ascending. A tile smaller than the window yields no
+    rows.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     if tile_pixels.width < c.window_w or tile_pixels.height < c.window_h:
-        return []
+        return np.empty((0, 3))
     ii = build_integral(tile_pixels, with_squares=c.variance_normalization)
     ox = np.arange(0, tile_pixels.width - c.window_w + 1, step, dtype=np.int64)
     oy = np.arange(0, tile_pixels.height - c.window_h + 1, step, dtype=np.int64)
@@ -206,31 +199,24 @@ def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> list[TileHit
     ys = np.repeat(oy, ox.size)
     accepted, _, margins = eval_grid(c, ii, xs, ys)
     idx = np.flatnonzero(accepted)
-    return [TileHit(x, y, score) for x, y, score in
-            zip(xs[idx].tolist(), ys[idx].tolist(), margins[idx].tolist())]
+    return np.column_stack((xs[idx], ys[idx], margins[idx]))
 
 
 def _scan_level_tile(args):
+    """Level-raster (x, y, margin) rows of a tile's hits inside its core."""
     cascade, level_img, tile, step = args
     sub = GrayImage(level_img.pixels[tile.y : tile.y + tile.h, tile.x : tile.x + tile.w])
     hits = scan_tile(cascade, sub, step)
-    kept = []
-    for hit in hits:
-        gx, gy = tile.x + hit.x, tile.y + hit.y
-        core = tile.core
-        if core.x <= gx < core.x + core.w and core.y <= gy < core.y + core.h:
-            kept.append((gx, gy, hit.score))
-    return kept
+    hits[:, :2] += (tile.x, tile.y)
+    x, y, core = hits[:, 0], hits[:, 1], tile.core
+    return hits[(core.x <= x) & (x < core.x + core.w)
+                & (core.y <= y) & (y < core.y + core.h)]
 
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _round_half_up(v: float) -> int:
-    return int(math.floor(v + 0.5))
 
 
 def _group_by_iou(dets: list[Detection], thr: float) -> list[Detection]:
@@ -256,11 +242,13 @@ def detect(img: GrayImage, c: Cascade,
            group_iou: float | None = None) -> list[Detection]:
     """Full pipeline: pyramid -> tiles -> parallel scan -> remap -> filter.
 
-    Hits are kept only when their origin falls in the emitting tile's core
-    region, mapped back to original coordinates by the level scale factor
-    (nearest-integer rounding), filtered by max_detection_px, and sorted by
-    (level, y, x). Output is identical for any `workers` value; the scan
-    uses at most `workers` threads, one per tile and one per usable CPU.
+    Levels whose box side exceeds max_detection_px are planned but not
+    scanned. Hits are kept only when their origin falls in the emitting
+    tile's core region, mapped back to original coordinates by the level
+    scale factor (floor(v * f + 0.5), clipped to the image), and sorted
+    stably by (level, y, x). Output is identical for any `workers` value;
+    the scan uses at most `workers` threads, one per tile and one per usable
+    CPU.
 
     `group_iou` optionally merges mutually-overlapping detections across the
     whole output, keeping the highest score per group (off by default).
@@ -274,6 +262,8 @@ def detect(img: GrayImage, c: Cascade,
 
     levels = build_pyramid(img, cfg)
     window = (c.window_w, c.window_h)
+    sides = [math.floor(c.window_w * cfg.scale_factor ** lvl + 0.5)
+             for lvl in range(len(levels))]
     jobs = []
     for lvl, level_img in enumerate(levels):
         if level_img.width < c.window_w or level_img.height < c.window_h:
@@ -281,32 +271,34 @@ def detect(img: GrayImage, c: Cascade,
                 f"pyramid level {lvl} ({level_img.width}x{level_img.height}) "
                 "smaller than the scan window"
             )
-        for tile in plan_tiles(level_img.width, level_img.height, budget,
-                               overlap=overlap, window=window):
-            jobs.append((lvl, (c, level_img, tile, step)))
+        tiles = plan_tiles(level_img.width, level_img.height, budget,
+                           overlap=overlap, window=window)
+        if sides[lvl] <= cfg.max_detection_px:
+            jobs += [(lvl, (c, level_img, tile, step)) for tile in tiles]
 
     workers = min(workers, len(jobs), _usable_cpus())
-    if workers == 1:
-        results = [(lvl, _scan_level_tile(args)) for lvl, args in jobs]
+    if workers <= 1:
+        hit_arrays = [_scan_level_tile(args) for _, args in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hit_lists = pool.map(_scan_level_tile, (args for _, args in jobs))
-            results = [(lvl, hits) for (lvl, _), hits in zip(jobs, hit_lists)]
+            hit_arrays = list(pool.map(_scan_level_tile, (args for _, args in jobs)))
 
+    by_level: dict[int, list[np.ndarray]] = {}
+    for (lvl, _), rows in zip(jobs, hit_arrays):
+        by_level.setdefault(lvl, []).append(rows)
     detections = []
-    for lvl, hits in results:
+    for lvl, parts in by_level.items():
         f = cfg.scale_factor ** lvl
-        side = _round_half_up(c.window_w * f)
-        for gx, gy, score in hits:
-            bx = _round_half_up(gx * f)
-            by = _round_half_up(gy * f)
-            if side > cfg.max_detection_px:
-                continue
-            bx = min(bx, img.width - side)
-            by = min(by, img.height - side)
-            detections.append(Detection(Rect(bx, by, side, side), lvl, score))
+        side = sides[lvl]
+        hits = np.concatenate(parts)
+        x = np.minimum(np.floor(hits[:, 0] * f + 0.5), img.width - side)
+        y = np.minimum(np.floor(hits[:, 1] * f + 0.5), img.height - side)
+        order = np.lexsort((x, y))
+        detections += [Detection(Rect(bx, by, side, side), lvl, score)
+                       for bx, by, score in zip(x[order].astype(np.int64).tolist(),
+                                                y[order].astype(np.int64).tolist(),
+                                                hits[order, 2].tolist())]
 
-    detections.sort(key=lambda d: (d.level, d.bbox.y, d.bbox.x))
     if group_iou is not None:
         detections = _group_by_iou(detections, group_iou)
         detections.sort(key=lambda d: (d.level, d.bbox.y, d.bbox.x))

@@ -55,11 +55,6 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @classmethod
-    def from_array(cls, arr) -> "GrayImage":
-        """Build from any array-like of values in [0, 255]."""
-        return cls(np.ascontiguousarray(arr, dtype=np.uint8))
-
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     # Skips whitespace and '#' comment lines, returns (token, next position).

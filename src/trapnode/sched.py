@@ -192,8 +192,12 @@ def _read_home(homes: dict, evictions: dict, tensor: str, layer_index: int) -> s
 
 def plan_schedule(graph: LayerGraph, platform: PlatformModel,
                   budget: BudgetConfig) -> Schedule:
-    """Greedy topological placement of activations and weights."""
+    """Greedy topological placement of activations and weights.
+
+    The L1 and L2 budgets are capped at the platform's tier capacities.
+    """
     eb = graph.element_bytes
+    l1_cap = min(budget.l1_bytes, platform.tier("l1").capacity)
     l2_cap = min(budget.l2_bytes, platform.tier("l2").capacity)
 
     # The lifetime table: each tensor's consumer indices in layer order, and
@@ -252,7 +256,7 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
             place(layer.name, nbytes)
         wbytes = _weight_bytes(layer, eb)
         weight_home = "l2" if wbytes and used("l2") + wbytes <= l2_cap else "flash"
-        tile = _plan_l1_tile(layer, eb, budget.l1_bytes)
+        tile = _plan_l1_tile(layer, eb, l1_cap)
 
         in_homes = [_read_home(homes, evictions, s, i) for s in layer.inputs]
         out_home = homes[layer.name]

@@ -185,6 +185,18 @@ def test_cnn_report_pinned(argv, digest, tmp_path):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+def test_cnn_gap8_l1_capped_at_tier_capacity(tmp_path):
+    """gap8's L1 holds 64,000 B, so a larger --l1 plans the same tiles, and
+    the manifest shows the overlap the model uses: gap8 has no DMA overlap."""
+    def lines(l1):
+        out = run_to_file(["cnn", "--platform", "gap8", "--l1", str(l1)],
+                          tmp_path / f"{l1}.csv").decode()
+        return [l for l in out.splitlines() if not l.startswith("# param l1=")]
+    big = lines(115600)
+    assert big == lines(64000)
+    assert "# param dma_overlap=False" in big
+
+
 def test_power_command_defaults(tmp_path):
     out = run_to_file(["power", "--wake-period", "900"], tmp_path / "p.csv").decode()
     daily = float(next(l for l in out.splitlines()

@@ -128,12 +128,12 @@ def test_scan_tile_accept_all_combinatorics():
     tile = random_image(rng, 24, 24)
     hits = scan_tile(accept_all_cascade(), tile, step=1)
     assert len(hits) == 25
-    assert {(h.x, h.y) for h in hits} == {(x, y) for x in range(5) for y in range(5)}
+    assert {(int(x), int(y)) for x, y, _ in hits} == {(x, y) for x in range(5) for y in range(5)}
 
 
 def test_scan_tile_reject_all_is_empty():
     rng = np.random.default_rng(33)
-    assert scan_tile(reject_all_cascade(), random_image(rng, 30, 30)) == []
+    assert len(scan_tile(reject_all_cascade(), random_image(rng, 30, 30))) == 0
 
 
 def test_scan_tile_equals_whole_image_eval():
@@ -142,7 +142,7 @@ def test_scan_tile_equals_whole_image_eval():
     img = random_image(rng, 64, 48)
     ii = build_integral(img, with_squares=True)
     tile = GrayImage(img.pixels[8:44, 12:60])  # 48x36 view
-    hits = {(12 + h.x, 8 + h.y) for h in scan_tile(cascade, tile)}
+    hits = {(12 + int(x), 8 + int(y)) for x, y, _ in scan_tile(cascade, tile)}
     expected = set()
     for oy in range(8, 44 - 20 + 1):
         for ox in range(12, 60 - 20 + 1):
@@ -184,6 +184,59 @@ def test_detect_size_filter():
     for d in detect(img, cascade, cfg=cfg, workers=2):
         assert max(d.bbox.w, d.bbox.h) <= 23
         assert d.level <= 1  # levels 2+ give side 24+
+
+
+def test_detect_skips_levels_the_size_filter_drops(monkeypatch):
+    """Levels whose box side exceeds max_detection_px are never scanned, and
+    the output equals the unfiltered one restricted to the kept levels."""
+    import trapnode.detector as detector
+
+    rng = np.random.default_rng(44)
+    cascade = make_probe_cascade(seed=2)
+    img = random_image(rng, 128, 100)
+    budget = ScratchBudget(bytes=10**9)  # one tile per level
+    full = detect(img, cascade, cfg=PyramidConfig(num_levels=5), budget=budget,
+                  workers=1)
+    scanned = []
+
+    def recording_scan_tile(c, tile_pixels, step=1):
+        scanned.append((tile_pixels.width, tile_pixels.height))
+        return scan_tile(c, tile_pixels, step)
+
+    monkeypatch.setattr(detector, "scan_tile", recording_scan_tile)
+    cfg = PyramidConfig(num_levels=5, max_detection_px=23)
+    dets = detect(img, cascade, cfg=cfg, budget=budget, workers=1)
+    levels = build_pyramid(img, cfg)
+    assert scanned == [(l.width, l.height) for l in levels[:2]]
+    assert dets == [d for d in full if d.level <= 1]
+
+    none_kept = PyramidConfig(num_levels=5, max_detection_px=19)
+    assert detect(img, cascade, cfg=none_kept, budget=budget, workers=2) == []
+    assert len(scanned) == 2
+
+
+@pytest.mark.parametrize("factor", [1.1, 1.25])
+def test_detect_remap_matches_scalar_oracle(factor):
+    """Every window origin of every level, accepted, lands where the scalar
+    rule floor(v * f + 0.5), clipped to the image, puts it."""
+    rng = np.random.default_rng(45)
+    cfg = PyramidConfig(scale_factor=factor, num_levels=4, max_detection_px=1000)
+    for w, h in [(41, 40), (64, 48), (97, 75), (120, 100)]:
+        img = random_image(rng, w, h)
+        dets = detect(img, accept_all_cascade(), cfg=cfg,
+                      budget=ScratchBudget(bytes=6_000), workers=2)
+        expected = []
+        for lvl, level in enumerate(build_pyramid(img, cfg)):
+            f = factor ** lvl
+            side = math.floor(20 * f + 0.5)
+            for y in range(level.height - 20 + 1):
+                for x in range(level.width - 20 + 1):
+                    expected.append((lvl, min(math.floor(y * f + 0.5), h - side),
+                                     min(math.floor(x * f + 0.5), w - side), side))
+        expected.sort()
+        got = [(d.level, d.bbox.y, d.bbox.x, d.bbox.w) for d in dets]
+        assert got == expected
+        assert all(d.bbox.h == d.bbox.w for d in dets)
 
 
 def test_detect_dedup_soundness():
