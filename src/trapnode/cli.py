@@ -10,6 +10,7 @@ violations raised by the models.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -33,9 +34,9 @@ from .imaging import GrayImage, PgmError, load_pgm, save_pgm
 from .integral import Rect
 from .mcu import (ComputeEngine, MemoryTier, PlatformModel,
                   UnknownPlatform, builtin_platform, platform_from_json)
-from .power import (POLICIES, Battery, DutyCycleConfig, PhaseEnergy,
-                    daily_energy, gap9_viola_energy, lifetime, simulate,
-                    wake_cycle_energy)
+from .power import (BLOCK_WAKES, POLICIES, Battery, DutyCycleConfig,
+                    PhaseEnergy, daily_energy, gap9_viola_energy, lifetime,
+                    simulate, wake_cycle_energy)
 from .sched import (BudgetConfig, L1PlanError, compare_budgets, estimate_latency,
                     plan_schedule, require_routable)
 from .synthetic import synth_negative_images, synth_positive_windows, synth_scene
@@ -137,11 +138,25 @@ def _load_checked(path: Path, where: str, model, nested, from_json):
         raise InputError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _report(out: str | None):
+    """The stream a report is written to: stdout, or a new file at `out`
+    that is removed again if writing it fails."""
+    if not out:
+        yield sys.stdout
+        return
+    path = Path(out)
+    try:
+        with path.open("w", encoding="ascii") as fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+    with _report(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------- detect --
@@ -457,27 +472,35 @@ def cmd_power(args) -> int:
         trace = _read_trace(Path(args.simulate))
         result = simulate(pe, cfg, batt, trace, args.horizon_days)
         lines.append("t_s,new_detections,wake_mj,battery_j_left")
-        for ev in result.timeline:
-            lines.append(f"{ev.t_s:.3f},{ev.new_detections},{ev.wake_mj:.6f},"
-                         f"{ev.battery_j_left:.6f}")
-        lines.append(f"# days_simulated={result.days_simulated:.6f}")
-        lines.append(f"# total_j={result.total_j:.6f}")
+        summary = [f"# days_simulated={result.days_simulated:.6f}",
+                   f"# total_j={result.total_j:.6f}"]
         for phase in ("compute", "radio", "camera", "sleep", "overhead"):
-            lines.append(f"# {phase}_j={getattr(result, phase + '_j'):.6f}")
+            summary.append(f"# {phase}_j={getattr(result, phase + '_j'):.6f}")
         if result.battery_exhausted_at_s is not None:
-            lines.append(f"# battery_exhausted_at_s={result.battery_exhausted_at_s:.3f}")
-    else:
-        ledger = daily_energy(pe, cfg)
-        wake_counter = wake_cycle_energy(pe, cfg.counter_payload_bytes)
-        life = lifetime(batt, ledger.daily_j)
-        lines.append("phase,joules_per_day")
-        for phase in ("compute", "radio", "camera", "sleep", "overhead"):
-            lines.append(f"{phase},{getattr(ledger, phase + '_j'):.6f}")
-        lines.append(f"# daily_j={ledger.daily_j:.6f}")
-        lines.append(f"# wake_cycle_counter_mj={wake_counter:.6f}")
-        lines.append(f"# battery_j={batt.energy_j:.3f}")
-        lines.append(f"# lifetime_days={life.days}")
-        lines.append(f"# lifetime_days_exact={life.days_exact:.3f}")
+            summary.append(f"# battery_exhausted_at_s={result.battery_exhausted_at_s:.3f}")
+        # The rows are written a block at a time, never held as one string.
+        tl = result.timeline
+        columns = (tl.t_s, tl.new_detections, tl.wake_mj, tl.battery_j_left)
+        row = "%.3f,%d,%.6f,%.6f\n".__mod__
+        with _report(args.out) as fh:
+            fh.write("\n".join(lines) + "\n")
+            for i in range(0, len(tl), BLOCK_WAKES):
+                block = (c[i:i + BLOCK_WAKES].tolist() for c in columns)
+                fh.write("".join(map(row, zip(*block))))
+            fh.write("\n".join(summary) + "\n")
+        return 0
+
+    ledger = daily_energy(pe, cfg)
+    wake_counter = wake_cycle_energy(pe, cfg.counter_payload_bytes)
+    life = lifetime(batt, ledger.daily_j)
+    lines.append("phase,joules_per_day")
+    for phase in ("compute", "radio", "camera", "sleep", "overhead"):
+        lines.append(f"{phase},{getattr(ledger, phase + '_j'):.6f}")
+    lines.append(f"# daily_j={ledger.daily_j:.6f}")
+    lines.append(f"# wake_cycle_counter_mj={wake_counter:.6f}")
+    lines.append(f"# battery_j={batt.energy_j:.3f}")
+    lines.append(f"# lifetime_days={life.days}")
+    lines.append(f"# lifetime_days_exact={life.days_exact:.3f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SECONDS_PER_DAY = 86_400.0
 
 POLICIES = ("counters_every_wake", "image_per_detection")
@@ -47,6 +49,8 @@ class DutyCycleConfig:
     def __post_init__(self):
         if self.payload_policy not in POLICIES:
             raise ValueError(f"unknown payload policy {self.payload_policy!r}")
+        if self.active_s_per_wake < 0:
+            raise ValueError("active_s_per_wake must be non-negative")
         if self.wake_period_s <= self.active_s_per_wake:
             raise ValueError("wake period must exceed the active duration")
         if self.counter_payload_bytes <= 0 or self.image_payload_bytes <= 0:
@@ -129,17 +133,30 @@ def lifetime(battery: Battery, daily_j: float) -> LifetimeEstimate:
     return LifetimeEstimate(days=math.floor(exact), days_exact=exact)
 
 
-@dataclass(frozen=True)
-class WakeEvent:
-    t_s: float
-    new_detections: int
-    wake_mj: float
-    battery_j_left: float
+# Wakes simulated per numpy block, and written per report block.
+BLOCK_WAKES = 65_536
+
+# The most wakes one simulation may take: about 9.5 years at one wake every
+# 30 s. The timeline holds 32 bytes and the report about 30 bytes per wake.
+MAX_WAKES = 10_000_000
+
+
+@dataclass(frozen=True, eq=False)  # arrays do not compare to one bool
+class Timeline:
+    """One row per completed wake, held as four columns."""
+
+    t_s: np.ndarray             # float64: the wake instant
+    new_detections: np.ndarray  # int64: arrivals since the previous wake
+    wake_mj: np.ndarray         # float64: the wake's active-cycle energy
+    battery_j_left: np.ndarray  # float64: charge left after the wake
+
+    def __len__(self) -> int:
+        return len(self.t_s)
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    timeline: tuple[WakeEvent, ...]
+    timeline: Timeline
     compute_j: float
     radio_j: float
     camera_j: float
@@ -154,6 +171,33 @@ class SimulationResult:
                 + self.sleep_j + self.overhead_j)
 
 
+def _running(carry: float, steps: np.ndarray) -> np.ndarray:
+    """carry, carry + steps[0], (carry + steps[0]) + steps[1], ...: the same
+    additions in the same order as a scalar `carry += step` loop, so every
+    partial sum has the loop's bits."""
+    return np.add.accumulate(np.concatenate(([carry], steps)))
+
+
+def _total(carry: float, steps: np.ndarray) -> float:
+    return float(_running(carry, steps)[-1])
+
+
+def _max_wakes(pe: PhaseEnergy, cfg: DutyCycleConfig, budget: float,
+               horizon_s: float) -> float:
+    """A bound b on a run's wake count, which is at most floor(b) + 1: the
+    periods in the horizon, or, if fewer, the periods the battery can pay
+    for at the least one period can cost (its sleep and cheapest wake)."""
+    wakes = (horizon_s + 1e-9) / cfg.wake_period_s
+    least_payload = (cfg.counter_payload_bytes
+                     if cfg.payload_policy == "counters_every_wake" else 0)
+    period_j = (cfg.sleep_power_uw * 1e-6
+                * (cfg.wake_period_s - cfg.active_s_per_wake)
+                + wake_cycle_energy(pe, least_payload) / 1000.0)
+    if period_j > 0:
+        wakes = min(wakes, budget / period_j)
+    return wakes
+
+
 def simulate(pe: PhaseEnergy, cfg: DutyCycleConfig, battery: Battery,
              arrival_trace: list[float], horizon_days: float) -> SimulationResult:
     """Discrete-event walk of the sleep -> capture -> detect -> transmit loop.
@@ -162,58 +206,87 @@ def simulate(pe: PhaseEnergy, cfg: DutyCycleConfig, battery: Battery,
     reports the arrivals since the previous wake (an arrival exactly at a
     wake instant belongs to that wake). The run stops at battery exhaustion
     or at the horizon.
+
+    Wakes are simulated `BLOCK_WAKES` at a time. Every running quantity (the
+    wake instant, the energy spent, each phase total) is a sequential float
+    sum, taken with `np.add.accumulate` in the order a one-wake-at-a-time
+    loop adds it, so the results are that loop's to the bit. A run whose
+    wake count could exceed `MAX_WAKES` is refused before it starts.
     """
-    if any(b > a for a, b in zip(arrival_trace[1:], arrival_trace)):
+    arrivals = np.asarray(arrival_trace, dtype=np.float64)
+    if not np.all(arrivals[1:] >= arrivals[:-1]):
         raise ValueError("arrival trace must be sorted")
+    if not horizon_days >= 0:
+        raise ValueError(f"horizon must be a non-negative number of days, "
+                         f"got {horizon_days}")
 
     horizon_s = horizon_days * SECONDS_PER_DAY
     sleep_w = cfg.sleep_power_uw * 1e-6
     budget = battery.energy_j
+    period = cfg.wake_period_s
+    active = cfg.active_s_per_wake
+    wakes = _max_wakes(pe, cfg, budget, horizon_s)
+    if not wakes < MAX_WAKES:  # floor(wakes) + 1 > MAX_WAKES, or NaN
+        raise ValueError(f"the run could take up to {wakes:.4g} wakes, over "
+                         f"the cap of {MAX_WAKES:,} wakes per simulation")
+    block = int(min(BLOCK_WAKES, wakes + 2))
+    limit = horizon_s + 1e-9
 
     compute = radio = camera = sleep = overhead = 0.0
-    timeline: list[WakeEvent] = []
+    columns: list[tuple[np.ndarray, ...]] = []
     exhausted_at = None
 
     spent = 0.0
-    arrival_idx = 0
-    prev_t = 0.0
-    t = cfg.wake_period_s
-    while t <= horizon_s + 1e-9:
-        # Sleep from the previous event up to this wake.
-        sleep_interval = (t - prev_t) - cfg.active_s_per_wake
-        sleep_j = sleep_w * sleep_interval
-        if spent + sleep_j > budget:
-            frac = (budget - spent) / sleep_j
-            sleep += sleep_w * sleep_interval * frac
-            exhausted_at = prev_t + sleep_interval * frac
-            spent = budget
-            break
-        sleep += sleep_j
-        spent += sleep_j
-
-        new_detections = 0
-        while arrival_idx < len(arrival_trace) and arrival_trace[arrival_idx] <= t:
-            new_detections += 1
-            arrival_idx += 1
-
+    seen = 0      # arrivals reported so far
+    prev_t = 0.0  # the last completed wake, or the start
+    while True:
+        ts = _running(prev_t, np.full(block, period))[1:]
+        ts = ts[:np.searchsorted(ts, limit, "right")]
+        n = len(ts)
+        sleep_j = sleep_w * (np.diff(ts, prepend=prev_t) - active)
+        counts = np.searchsorted(arrivals, ts, "right")
+        new_detections = np.diff(counts, prepend=seen)
+        # Each distinct payload is priced once, by the scalar formulas on
+        # its exact byte count, and the prices are gathered per wake.
         if cfg.payload_policy == "counters_every_wake":
-            payload = cfg.counter_payload_bytes
+            payloads = [cfg.counter_payload_bytes]
+            inverse = np.zeros(n, np.intp)
         else:
-            payload = new_detections * cfg.image_payload_bytes
-        wake_mj = wake_cycle_energy(pe, payload)
-        wake_j = wake_mj / 1000.0
-        if spent + wake_j > budget:
-            exhausted_at = t
-            spent = budget
+            distinct, inverse = np.unique(new_detections, return_inverse=True)
+            payloads = [d * cfg.image_payload_bytes for d in distinct.tolist()]
+        wake_mj = np.array([wake_cycle_energy(pe, b) for b in payloads])[inverse]
+        radio_j = np.array([b * pe.tx_mj_per_byte / 1000.0
+                            for b in payloads])[inverse]
+        steps = np.empty(2 * n)
+        steps[0::2] = sleep_j
+        steps[1::2] = wake_mj / 1000.0
+        spent_after = _running(spent, steps)[1:]
+        # Even index: died asleep before wake k // 2; odd: died on that wake.
+        over = np.flatnonzero(spent_after > budget)
+        k = int(over[0]) if len(over) else 2 * n
+        done = k // 2  # wakes completed in this block
+        sleep = _total(sleep, sleep_j[:done + k % 2])
+        compute = _total(compute, np.full(done, pe.compute_mj / 1000.0))
+        camera = _total(camera, np.full(done, pe.camera_mj / 1000.0))
+        overhead = _total(overhead, np.full(done, pe.wake_overhead_mj / 1000.0))
+        radio = _total(radio, radio_j[:done])
+        columns.append((ts[:done], new_detections[:done], wake_mj[:done],
+                        budget - spent_after[1:2 * done:2]))
+        if done:
+            spent = float(spent_after[2 * done - 1])
+            seen = int(counts[done - 1])
+            prev_t = float(ts[done - 1])
+        if k < 2 * n:
+            if k % 2 == 0:
+                sleep_interval = float((ts[done] - prev_t) - active)
+                frac = (budget - spent) / float(sleep_j[done])
+                sleep += sleep_w * sleep_interval * frac
+                exhausted_at = prev_t + sleep_interval * frac
+            else:
+                exhausted_at = float(ts[done])
             break
-        compute += pe.compute_mj / 1000.0
-        camera += pe.camera_mj / 1000.0
-        overhead += pe.wake_overhead_mj / 1000.0
-        radio += payload * pe.tx_mj_per_byte / 1000.0
-        spent += wake_j
-        timeline.append(WakeEvent(t, new_detections, wake_mj, budget - spent))
-        prev_t = t
-        t += cfg.wake_period_s
+        if n < block:  # the horizon ends in this block
+            break
 
     end_t = exhausted_at if exhausted_at is not None else min(horizon_s, prev_t)
     if exhausted_at is None and horizon_s > prev_t:
@@ -229,8 +302,10 @@ def simulate(pe: PhaseEnergy, cfg: DutyCycleConfig, battery: Battery,
             sleep += tail_j
             end_t = horizon_s
 
+    t_s, new_detections, wake_mj, battery_j_left = map(np.concatenate,
+                                                        zip(*columns))
     return SimulationResult(
-        timeline=tuple(timeline),
+        timeline=Timeline(t_s, new_detections, wake_mj, battery_j_left),
         compute_j=compute, radio_j=radio, camera_j=camera,
         sleep_j=sleep, overhead_j=overhead,
         days_simulated=end_t / SECONDS_PER_DAY,

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trapnode.cli import build_parser, main
 from trapnode.detector import detect
@@ -376,6 +380,61 @@ def test_power_rejects_overflowing_battery_energy(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "battery energy" in err
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_power_simulate_report_pinned(tmp_path):
+    """A report of 87,248 wakes (two row blocks) whose battery dies on a
+    wake, pinned by sha-256; some arrivals fall on wake instants."""
+    trace = tmp_path / "trace.txt"
+    arrivals = sorted({3600 * i for i in range(1, 960)}
+                      | {2617 * i for i in range(1, 1320)})
+    trace.write_text("\n".join(map(str, arrivals)) + "\n")
+    out = run_to_file(["power", "--simulate", str(trace), "--horizon-days", "40",
+                       "--battery-mah", "150"], tmp_path / "sim.csv")
+    assert out.decode().endswith("# battery_exhausted_at_s=2617470.000\n")
+    assert hashlib.sha256(out).hexdigest() == (
+        "19c5dde7d33def8af4990498d76e771312ce8769c4d76177c1ac931f6bbea42e")
+
+
+@pytest.mark.parametrize("flags,named", [
+    pytest.param(["--horizon-days", "-5"], "non-negative",
+                 id="negative-horizon"),
+    pytest.param(["--horizon-days", "1e9", "--battery-mah", "1e6"],
+                 "cap of 10,000,000", id="wake-cap"),
+])
+def test_power_simulate_rejects_unbounded_or_negative_run(flags, named,
+                                                          tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("3600\n7200\n")
+    start = time.perf_counter()
+    rc = main(["power", "--simulate", str(trace), *flags,
+               "--out", str(tmp_path / "sim.csv")])
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789.e+-_ \t\r\nafinINF", max_size=60).map(str.encode)))
+def test_power_simulate_trace_reader_fuzz(data, tmp_path_factory):
+    """Any bytes as a trace, and number-like text: exit 0, 3 or 4, at most
+    one line on stderr, and a report exactly when the exit is 0."""
+    work = tmp_path_factory.mktemp("fuzz")
+    trace = work / "trace.txt"
+    trace.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["power", "--simulate", str(trace), "--horizon-days", "1",
+                   "--out", str(work / "sim.csv")])
+    assert rc in (0, 3, 4)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+    assert (work / "sim.csv").exists() == (rc == 0)
 
 
 DATA = Path(__file__).parent.parent / "src" / "trapnode" / "data"
