@@ -14,8 +14,8 @@ from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
                       eval_window, feature_value, load_cascade, save_cascade)
 from .detector import (Detection, PyramidConfig, ScratchBudget, TileSpec,
                        build_pyramid, detect, plan_tiles, scan_tile)
-from .trainer import (TrainConfig, TrainSample, enumerate_features,
-                      feature_table, train_cascade, train_stage, train_weak)
+from .trainer import (TrainConfig, enumerate_features, feature_table,
+                      train_cascade)
 from .evaluator import EvalReport, iou, match_detections
 from .mcu import (ComputeEngine, MemoryTier, PlatformModel, builtin_platform,
                   transfer_cycles)

@@ -19,12 +19,18 @@ Cascade files are versioned JSON with the following normative field names::
          ]}
       ]
     }
+
+Window sizes, rect fields and polarities are integers, and thresholds and
+votes finite numbers. A file that breaks the format raises a subclass of
+`CascadeFormatError`.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import reprlib
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -318,9 +324,32 @@ def score_stage(sc: StageCorners, plane: np.ndarray, stride: int,
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise BadFieldValue(f"{context} must be a JSON object, "
+                            f"got {reprlib.repr(mapping)}")
     if key not in mapping:
         raise MissingField(f"{context} is missing field {key!r}")
     return mapping[key]
+
+
+_KIND_NAMES = {list: "a list", bool: "true or false", int: "an integer",
+               float: "a finite number"}
+
+
+def _field(mapping: dict, key: str, context: str, kind: type):
+    """`mapping[key]`, which must be a JSON value of `kind`: a list, a bool,
+    an int (a bool is not one) or a float (any finite number, returned as a
+    float)."""
+    value = _require(mapping, key, context)
+    if kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    else:
+        ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+    if not ok:
+        raise BadFieldValue(f"{context}: {key} must be "
+                            f"{_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
+    return float(value) if kind is float else value
 
 
 def cascade_to_json(c: Cascade) -> str:
@@ -356,51 +385,48 @@ def cascade_from_json(text: str) -> Cascade:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CascadeFormatError(f"not valid JSON: {exc}") from None
-    version = _require(doc, "version", "cascade")
+    except RecursionError:
+        raise CascadeFormatError("not valid JSON: nested too deeply") from None
+    version = _field(doc, "version", "cascade", int)
     if version != FORMAT_VERSION:
         raise BadFieldValue(f"unsupported cascade version {version}")
     window = _require(doc, "window", "cascade")
-    win_w = _require(window, "w", "window")
-    win_h = _require(window, "h", "window")
-    varnorm = _require(doc, "variance_normalization", "cascade")
-    stages_doc = _require(doc, "stages", "cascade")
+    win_w = _field(window, "w", "window", int)
+    win_h = _field(window, "h", "window", int)
+    varnorm = _field(doc, "variance_normalization", "cascade", bool)
+    stages_doc = _field(doc, "stages", "cascade", list)
     if not stages_doc:
         raise EmptyStage("cascade has no stages")
 
     stages = []
     for si, sdoc in enumerate(stages_doc):
-        weak_doc = _require(sdoc, "weak", f"stage {si}")
+        weak_doc = _field(sdoc, "weak", f"stage {si}", list)
         if not weak_doc:
             raise EmptyStage(f"stage {si} has no weak classifiers")
         weaks = []
         for wi, wdoc in enumerate(weak_doc):
             ctx = f"stage {si} weak {wi}"
-            rects_doc = _require(wdoc, "rects", ctx)
             rects = []
-            for rdoc in rects_doc:
-                rect = Rect(
-                    _require(rdoc, "x", ctx), _require(rdoc, "y", ctx),
-                    _require(rdoc, "w", ctx), _require(rdoc, "h", ctx),
-                )
-                weight = _require(rdoc, "weight", ctx)
+            for rdoc in _field(wdoc, "rects", ctx, list):
+                x, y, w, h, weight = (_field(rdoc, key, ctx, int)
+                                      for key in ("x", "y", "w", "h", "weight"))
+                try:
+                    rect = Rect(x, y, w, h)
+                except ValueError as exc:
+                    raise BadFieldValue(f"{ctx}: {exc}") from None
                 if rect.x + rect.w > win_w or rect.y + rect.h > win_h:
                     raise RectOutOfWindow(f"{ctx}: rect {rect} outside window")
                 rects.append((rect, weight))
+            stump = [_field(wdoc, key, ctx, kind) for key, kind in (
+                ("threshold", float), ("polarity", int),
+                ("vote_pass", float), ("vote_fail", float))]
             try:
-                feature = HaarFeature(tuple(rects))
-                weaks.append(
-                    WeakClassifier(
-                        feature=feature,
-                        threshold=float(_require(wdoc, "threshold", ctx)),
-                        polarity=int(_require(wdoc, "polarity", ctx)),
-                        vote_pass=float(_require(wdoc, "vote_pass", ctx)),
-                        vote_fail=float(_require(wdoc, "vote_fail", ctx)),
-                    )
-                )
+                weaks.append(WeakClassifier(HaarFeature(tuple(rects)), *stump))
             except ValueError as exc:
                 raise BadFieldValue(f"{ctx}: {exc}") from None
-        stages.append(Stage(tuple(weaks), float(_require(sdoc, "threshold", f"stage {si}"))))
-    return Cascade(int(win_w), int(win_h), tuple(stages), bool(varnorm))
+        stages.append(Stage(tuple(weaks),
+                            _field(sdoc, "threshold", f"stage {si}", float)))
+    return Cascade(win_w, win_h, tuple(stages), varnorm)
 
 
 def save_cascade(c: Cascade, path) -> None:
@@ -410,4 +436,8 @@ def save_cascade(c: Cascade, path) -> None:
 
 def load_cascade(path) -> Cascade:
     with open(path, "r", encoding="ascii") as fh:
-        return cascade_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CascadeFormatError(f"not ASCII text: {exc}") from None
+    return cascade_from_json(text)

@@ -251,10 +251,14 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------ eval --
 
 def _parse_box_file(path: Path, with_score: bool):
-    if not path.exists():
+    if not path.is_file():
         raise InputError(f"file not found: {path}")
     by_image: dict[str, list] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="ascii").splitlines(), 1):
+    # Bytes past ASCII decode to lone surrogates, which split no line.
+    text = path.read_bytes().decode("ascii", errors="surrogateescape")
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.isascii():
+            raise InputError(f"{path}:{lineno}: not ASCII text")
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("image_id"):
             continue
@@ -265,6 +269,10 @@ def _parse_box_file(path: Path, with_score: bool):
             rect = Rect(x, y, w, h)
             if with_score:
                 score = float(parts[6]) if len(parts) > 6 else 0.0
+                if not math.isfinite(score):
+                    # match_detections orders predictions by score.
+                    raise ValueError(f"score must be a finite number, "
+                                     f"got {parts[6]!r}")
                 by_image.setdefault(image_id, []).append((rect, score))
             else:
                 by_image.setdefault(image_id, []).append(rect)

@@ -231,9 +231,14 @@ def simulate(pe: PhaseEnergy, cfg: DutyCycleConfig, battery: Battery,
                          f"the cap of {MAX_WAKES:,} wakes per simulation")
     block = int(min(BLOCK_WAKES, wakes + 2))
     limit = horizon_s + 1e-9
+    # Each block's wakes are written straight into columns sized by the
+    # bound, so the timeline is held once.
+    capacity = int(wakes) + 1
+    columns = (np.empty(capacity), np.empty(capacity, np.int64),
+               np.empty(capacity), np.empty(capacity))
+    count = 0  # wakes completed so far
 
     compute = radio = camera = sleep = overhead = 0.0
-    columns: list[tuple[np.ndarray, ...]] = []
     exhausted_at = None
 
     spent = 0.0
@@ -270,8 +275,11 @@ def simulate(pe: PhaseEnergy, cfg: DutyCycleConfig, battery: Battery,
         camera = _total(camera, np.full(done, pe.camera_mj / 1000.0))
         overhead = _total(overhead, np.full(done, pe.wake_overhead_mj / 1000.0))
         radio = _total(radio, radio_j[:done])
-        columns.append((ts[:done], new_detections[:done], wake_mj[:done],
-                        budget - spent_after[1:2 * done:2]))
+        for column, values in zip(columns, (ts[:done], new_detections[:done],
+                                            wake_mj[:done],
+                                            budget - spent_after[1:2 * done:2])):
+            column[count:count + done] = values
+        count += done
         if done:
             spent = float(spent_after[2 * done - 1])
             seen = int(counts[done - 1])
@@ -302,10 +310,8 @@ def simulate(pe: PhaseEnergy, cfg: DutyCycleConfig, battery: Battery,
             sleep += tail_j
             end_t = horizon_s
 
-    t_s, new_detections, wake_mj, battery_j_left = map(np.concatenate,
-                                                        zip(*columns))
     return SimulationResult(
-        timeline=Timeline(t_s, new_detections, wake_mj, battery_j_left),
+        timeline=Timeline(*(column[:count] for column in columns)),
         compute_j=compute, radio_j=radio, camera_j=camera,
         sleep_j=sleep, overhead_j=overhead,
         days_simulated=end_t / SECONDS_PER_DAY,

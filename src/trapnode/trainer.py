@@ -24,7 +24,6 @@ with `cascade.score_stage`, the kernel `eval_grid` scans with.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +57,6 @@ STUMP_BLOCK = 64
 PROBE_SIZE = 16384
 # Share of the positives held out of boosting to calibrate stage thresholds.
 CALIBRATION_SHARE = 0.25
-
-
-@dataclass(frozen=True)
-class TrainSample:
-    """One labelled base-resolution window."""
-
-    window: GrayImage
-    positive: bool
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -143,31 +133,6 @@ def _row_feature(rects: list[list[int]]) -> HaarFeature:
                              for x, y, w, h, weight in rects if weight))
 
 
-def _table_rows(features: Sequence[HaarFeature]) -> np.ndarray:
-    """Feature-table rows of a list of features."""
-    rows = np.zeros((len(features), 4, 5), dtype=np.int64)
-    for i, f in enumerate(features):
-        rows[i, : len(f.rects)] = [(r.x, r.y, r.w, r.h, w) for r, w in f.rects]
-    return rows
-
-
-class _TableFeatures(Sequence):
-    """Feature-table rows seen as `HaarFeature`s, each built when indexed.
-
-    Boosting picks a few features out of thousands, so only those are ever
-    built.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> HaarFeature:
-        return _row_feature(self.rows[i].tolist())
-
-
 def _draw_features(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices of a random `fraction` of n features (all of them at 1)."""
     if fraction >= 1.0:
@@ -237,10 +202,6 @@ class WindowStack:
         if normalized:
             values /= self.norms
         return values
-
-    def feature_matrix(self, features: Sequence[HaarFeature],
-                       normalized: bool) -> np.ndarray:
-        return self.table_matrix(_table_rows(features), normalized)
 
     def stage_scores(self, stage: Stage, index: np.ndarray | None = None) -> np.ndarray:
         """Stage scores of the windows numbered `index` (default: all)."""
@@ -343,48 +304,12 @@ class StumpSearcher:
         return StumpSearchResult(fi, threshold, polarity, error)
 
 
-def best_stump(values: np.ndarray, positive: np.ndarray,
-               weights: np.ndarray) -> StumpSearchResult:
-    """One-shot minimum-weighted-error stump over a value matrix."""
-    return StumpSearcher(values, positive).best(weights)
-
-
 def _alpha(error: float) -> float:
     # Error floor keeps the vote scale finite on separable rounds (a
     # zero-error stump would otherwise freeze the weight distribution).
     eps = min(max(error, 1e-4), 0.5)
     beta = eps / (1.0 - eps)
     return math.log(1.0 / beta)
-
-
-@dataclass(frozen=True)
-class TrainedWeak:
-    classifier: WeakClassifier
-    error: float
-    degenerate: bool  # nothing beat chance; the votes are zero-margin
-
-
-def train_weak(features: list[HaarFeature], samples: list[TrainSample],
-               variance_normalization: bool = True) -> TrainedWeak:
-    """Best single stump for weighted samples, with AdaBoost votes attached."""
-    if not any(s.positive for s in samples) or all(s.positive for s in samples):
-        raise ValueError("both classes must be present")
-    windows = np.stack([s.window.pixels for s in samples])
-    weights = np.array([s.weight for s in samples], dtype=np.float64)
-    weights = weights / weights.sum()
-    positive = np.array([s.positive for s in samples])
-    stack = WindowStack(windows, variance_normalization)
-    matrix = stack.feature_matrix(features, normalized=variance_normalization)
-    found = best_stump(matrix, positive, weights)
-    alpha = _alpha(found.error)
-    weak = WeakClassifier(
-        feature=features[found.feature_index],
-        threshold=found.threshold,
-        polarity=found.polarity,
-        vote_pass=alpha,
-        vote_fail=-alpha,
-    )
-    return TrainedWeak(weak, found.error, degenerate=found.error >= 0.5)
 
 
 def _calibrate_threshold(pos_scores: np.ndarray,
@@ -443,11 +368,12 @@ class _PoolProbe:
         return float(self.alive.sum()) / self.total
 
 
-def _boost_stage(matrix: np.ndarray, positive: np.ndarray,
-                 features: Sequence[HaarFeature], cfg: TrainConfig,
-                 probe: _PoolProbe | None = None,
+def _boost_stage(matrix: np.ndarray, positive: np.ndarray, rows: np.ndarray,
+                 cfg: TrainConfig, probe: _PoolProbe | None = None,
                  calibration: np.ndarray | None = None) -> StageResult:
-    """Boost one stage over the columns of `matrix` (feature x sample).
+    """Boost one stage over the columns of `matrix` (feature x sample), whose
+    row i holds the values of the feature in table row `rows[i]`. Only the
+    features boosting picks are built as `HaarFeature`s.
 
     `calibration` holds the feature values of positives that get no
     boosting weight: they never influence which stumps are chosen, but the
@@ -471,8 +397,8 @@ def _boost_stage(matrix: np.ndarray, positive: np.ndarray,
         weights = weights / weights.sum()
         found = searcher.best(weights)
         alpha = _alpha(found.error)
-        weak = WeakClassifier(features[found.feature_index], found.threshold,
-                              found.polarity, alpha, -alpha)
+        weak = WeakClassifier(_row_feature(rows[found.feature_index].tolist()),
+                              found.threshold, found.polarity, alpha, -alpha)
         weak_list.append(weak)
 
         row = matrix[found.feature_index]
@@ -526,19 +452,6 @@ def _boost_stage(matrix: np.ndarray, positive: np.ndarray,
         fp_rate=fp_rate,
         target_met=fp_rate <= cfg.max_fp_rate,
     )
-
-
-def train_stage(samples: list[TrainSample], cfg: TrainConfig) -> StageResult:
-    """Grow one boosted stage over an explicitly provided sample set."""
-    windows = np.stack([s.window.pixels for s in samples])
-    positive = np.array([s.positive for s in samples])
-    stack = WindowStack(windows, cfg.variance_normalization)
-    win_h, win_w = windows.shape[1:]
-    table = feature_table(win_w, win_h, cfg.feature_min_size, cfg.feature_stride)
-    rows = table[_draw_features(len(table), cfg.feature_subsample,
-                                np.random.default_rng(cfg.seed))]
-    matrix = stack.table_matrix(rows, cfg.variance_normalization)
-    return _boost_stage(matrix, positive, _TableFeatures(rows), cfg)
 
 
 def _mining_batches(neg_images: list[GrayImage], win_w: int, win_h: int,
@@ -748,7 +661,7 @@ def train_cascade(pos: list[GrayImage], neg_pool: list[GrayImage],
         positive[: len(pos_windows)] = True
         stack = WindowStack(windows, cfg.variance_normalization)
         matrix = stack.table_matrix(rows, cfg.variance_normalization)
-        result = _boost_stage(matrix[:, :ns], positive, _TableFeatures(rows), cfg,
+        result = _boost_stage(matrix[:, :ns], positive, rows, cfg,
                               probe=probe, calibration=matrix[:, ns:])
         stages.append(result.stage)
 

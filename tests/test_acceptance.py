@@ -26,7 +26,7 @@ from trapnode.power import (Battery, DutyCycleConfig, daily_energy,
                             simulate, wake_cycle_energy)
 from trapnode.sched import BudgetConfig, compare_budgets, plan_schedule, run_model
 from trapnode.synthetic import synth_scene
-from trapnode.trainer import (WindowStack, _mining_batches, best_stump,
+from trapnode.trainer import (StumpSearcher, WindowStack, _mining_batches,
                               enumerate_features)
 
 
@@ -151,7 +151,7 @@ def test_criterion_06_weak_learner_oracle():
                 for pol in (1, -1):
                     pred = pol * (row - theta) > 0
                     best = min(best, weights[pred != positive].sum())
-        found = best_stump(values, positive, weights)
+        found = StumpSearcher(values, positive).best(weights)
         assert found.error == pytest.approx(best, abs=1e-12)
     ok(6, "stump search matches the exhaustive oracle on 50 instances")
 

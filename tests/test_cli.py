@@ -1,8 +1,12 @@
 import contextlib
+import copy
+import functools
 import hashlib
 import inspect
 import io
 import json
+import math
+import operator
 import time
 from pathlib import Path
 
@@ -12,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from trapnode.cli import build_parser, main
 from trapnode.detector import detect
-from trapnode.imaging import save_pgm
+from trapnode.imaging import GrayImage, save_pgm
 from trapnode.synthetic import synth_scene
 
 
@@ -134,6 +138,35 @@ def test_eval_exact_match_is_perfect(tmp_path):
     assert ",1.000000," in out.read_text()
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_score(score, tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    gt.write_text("img,5,6,20,20\n")
+    preds = tmp_path / "p.csv"
+    preds.write_text(f"img,5,6,20,20,0,1.0\nimg,40,40,20,20,0,{score}\n")
+    rc = main(["eval", str(preds), str(gt), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{preds}:2:" in err and "finite" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["predictions", "ground_truth"])
+def test_eval_rejects_non_ascii_file(bad, tmp_path, capsys):
+    files = {"predictions": "img,5,6,20,20,0,1.0\n", "ground_truth": "img,5,6,20,20\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(
+            (text + "# caf\u00e9\n" if name == bad else text).encode())
+    rc = main(["eval", str(tmp_path / "predictions"), str(tmp_path / "ground_truth"),
+               "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{tmp_path / bad}:2: not ASCII" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cnn_defaults_reproduce_paper_point(tmp_path):
     out = run_to_file(["cnn"], tmp_path / "cnn.csv").decode()
     total = next(l for l in out.splitlines() if l.startswith("# total_cycles="))
@@ -245,6 +278,59 @@ def test_exit_code_constraint_violation(workdir, capsys):
                "--budget", "100"])
     assert rc == 4
     assert "constraint" in capsys.readouterr().err
+
+
+def detect_with_cascade_file(workdir, body: bytes, tmp_path, capsys):
+    """Run `detect` on the corpus scene with a cascade file holding `body`:
+    its exit code, stderr, and whether it wrote a report."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    scene = workdir / "corpus" / "scenes" / "scene_00000.pgm"
+    rc = main(["detect", str(scene), str(bad), "--out", str(tmp_path / "d.csv")])
+    return rc, capsys.readouterr().err, (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("where,value,named", [
+    pytest.param((), 5, "cascade must be a JSON object", id="not-an-object"),
+    pytest.param(("window", "w"), "20", "window: w must be an integer",
+                 id="window-string"),
+    pytest.param(("stages",), {}, "cascade: stages must be a list",
+                 id="stages-object"),
+    pytest.param(("stages", 0, "weak", 0, "rects", 0, "x"), -1,
+                 "stage 0 weak 0: rect origin must be >= 0", id="rect-negative"),
+    pytest.param(("stages", 0, "weak", 0, "rects", 0, "w"), 2.0,
+                 "stage 0 weak 0: w must be an integer", id="rect-float"),
+    pytest.param(("stages", 0, "threshold"), "x",
+                 "stage 0: threshold must be a finite number", id="threshold-string"),
+    pytest.param(("stages", 0, "threshold"), math.nan,
+                 "stage 0: threshold must be a finite number", id="threshold-nan"),
+    pytest.param(("stages", 0, "weak", 0, "vote_pass"), math.inf,
+                 "stage 0 weak 0: vote_pass must be a finite number", id="vote-inf"),
+])
+def test_detect_rejects_malformed_cascade(where, value, named, workdir, tmp_path,
+                                          capsys):
+    doc = json.loads((workdir / "cascade.json").read_text())
+    if where:
+        *parent, key = where
+        functools.reduce(operator.getitem, parent, doc)[key] = value
+    else:
+        doc = value
+    rc, err, wrote = detect_with_cascade_file(workdir, json.dumps(doc).encode(),
+                                              tmp_path, capsys)
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not wrote
+
+
+def test_detect_rejects_non_ascii_cascade(workdir, tmp_path, capsys):
+    body = (workdir / "cascade.json").read_bytes().replace(
+        b'"window"', '"wind\u00f6w"'.encode(), 1)
+    rc, err, wrote = detect_with_cascade_file(workdir, body, tmp_path, capsys)
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not ASCII" in err
+    assert not wrote
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -427,14 +513,103 @@ def test_power_simulate_trace_reader_fuzz(data, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     trace = work / "trace.txt"
     trace.write_bytes(data)
+    exits_cleanly(["power", "--simulate", str(trace), "--horizon-days", "1"],
+                  work / "sim.csv")
+
+
+def exits_cleanly(argv, out: Path) -> int:
+    """Run the CLI with `--out out`: it exits 0, 3 or 4, writes at most one
+    line and no traceback to stderr, and writes a report exactly on exit 0."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = main(["power", "--simulate", str(trace), "--horizon-days", "1",
-                   "--out", str(work / "sim.csv")])
+        rc = main(argv + ["--out", str(out)])
     assert rc in (0, 3, 4)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
-    assert (work / "sim.csv").exists() == (rc == 0)
+    assert out.exists() == (rc == 0)
+    return rc
+
+
+# A one-stage cascade that detect runs on an 8x8 window.
+FUZZ_CASCADE = {
+    "version": 1, "window": {"w": 8, "h": 8}, "variance_normalization": True,
+    "stages": [{"threshold": 0.5, "weak": [{
+        "rects": [{"x": 0, "y": 0, "w": 2, "h": 4, "weight": 1},
+                  {"x": 2, "y": 0, "w": 2, "h": 4, "weight": -1}],
+        "threshold": 0.0, "polarity": 1, "vote_pass": 1.0, "vote_fail": -1.0}]}],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_paths(value, prefix=()):
+    """The path of every value inside a JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield prefix + (key,)
+        yield from json_paths(item, prefix + (key,))
+
+
+@st.composite
+def mutated_cascades(draw) -> bytes:
+    """`FUZZ_CASCADE` with one value replaced by any JSON value, or deleted."""
+    doc = copy.deepcopy(FUZZ_CASCADE)
+    *parent, key = draw(st.sampled_from(list(json_paths(doc))))
+    holder = functools.reduce(operator.getitem, parent, doc)
+    if draw(st.booleans()):
+        holder[key] = draw(JSON_VALUES)
+    else:
+        del holder[key]
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    pixels = np.random.default_rng(8).integers(0, 256, size=(24, 32), dtype=np.uint8)
+    path = tmp_path_factory.mktemp("scene") / "scene.pgm"
+    path.write_bytes(save_pgm(GrayImage(pixels)))
+    return path
+
+
+def test_fuzz_cascade_is_valid(fuzz_scene, tmp_path):
+    cascade = tmp_path / "c.json"
+    cascade.write_text(json.dumps(FUZZ_CASCADE))
+    assert exits_cleanly(["detect", str(fuzz_scene), str(cascade)],
+                         tmp_path / "d.csv") == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200),
+                      JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+                      mutated_cascades()))
+def test_detect_cascade_reader_fuzz(data, fuzz_scene, tmp_path_factory):
+    """Any bytes, any JSON value and a valid cascade with one value changed
+    or deleted, as a cascade file: `detect` exits cleanly."""
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "c.json").write_bytes(data)
+    exits_cleanly(["detect", str(fuzz_scene), str(work / "c.json")],
+                  work / "d.csv")
+
+
+@pytest.mark.parametrize("fuzzed", ["predictions", "ground_truth"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet="0123456789,.e+-_ \t\r\n#afinINFimg", max_size=80).map(str.encode)))
+def test_eval_csv_reader_fuzz(fuzzed, data, tmp_path_factory):
+    """Any bytes, and CSV-like text, as either `eval` input: it exits
+    cleanly."""
+    work = tmp_path_factory.mktemp("fuzz")
+    files = {"predictions": b"img,5,6,20,20,0,1.0\n",
+             "ground_truth": b"img,5,6,20,20\n", fuzzed: data}
+    for name, body in files.items():
+        (work / name).write_bytes(body)
+    exits_cleanly(["eval", str(work / "predictions"), str(work / "ground_truth")],
+                  work / "r.csv")
 
 
 DATA = Path(__file__).parent.parent / "src" / "trapnode" / "data"

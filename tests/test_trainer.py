@@ -14,11 +14,10 @@ from trapnode.integral import Rect, build_integral
 from trapnode.synthetic import (synth_moth_window, synth_negative_images,
                                 synth_positive_windows, synth_scene)
 from trapnode.trainer import (STUMP_BLOCK, TEMPLATES, StumpSearcher,
-                              StumpSearchResult, TrainConfig, TrainSample,
-                              WindowStack, best_stump, enumerate_features,
-                              feature_table, train_cascade, train_stage,
-                              train_weak, _alpha, _boost_stage, _mine_negatives,
-                              _PoolGrid, _PoolProbe)
+                              StumpSearchResult, TrainConfig, WindowStack,
+                              enumerate_features, feature_table, train_cascade,
+                              _alpha, _boost_stage, _draw_features,
+                              _mine_negatives, _PoolGrid, _PoolProbe)
 
 BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
 
@@ -201,11 +200,15 @@ def test_feature_table_rejects_bad_arguments():
 
 # ------------------------------------------------------------ weak stumps --
 
-def _samples_from_windows(windows, labels):
-    return [TrainSample(GrayImage(w), bool(l)) for w, l in zip(windows, labels)]
+def stump_over_table(windows, positive, rows):
+    """The best stump over the `rows` features on unnormalized windows of
+    equal weight, as `_boost_stage` searches its first round."""
+    matrix = WindowStack(windows, False).table_matrix(rows, normalized=False)
+    weights = np.full(len(windows), 1.0 / len(windows))
+    return matrix, weights, StumpSearcher(matrix, positive).best(weights)
 
 
-def test_train_weak_separable_case():
+def test_stump_search_separable_case():
     # positives carry a strong top/bottom edge, negatives are flat; the
     # vertical two-rect template separates them perfectly
     rng = np.random.default_rng(50)
@@ -216,11 +219,11 @@ def test_train_weak_separable_case():
         edges.append(e + rng.integers(0, 5, size=(8, 8)).astype(np.uint8))
         flats.append(np.full((8, 8), 120, dtype=np.uint8)
                      + rng.integers(0, 5, size=(8, 8)).astype(np.uint8))
-    samples = _samples_from_windows(edges + flats, [1] * 10 + [0] * 10)
-    features = enumerate_features(8, 8, templates=("edge_v",))
-    found = train_weak(features, samples, variance_normalization=False)
+    positive = np.arange(20) < 10
+    rows = feature_table(8, 8, templates=("edge_v",))
+    _, _, found = stump_over_table(np.stack(edges + flats), positive, rows)
     assert found.error <= 1e-9
-    assert not found.degenerate
+    assert found.error < 0.5  # not degenerate: it beats chance
 
 
 def test_best_stump_error_never_above_half():
@@ -229,7 +232,7 @@ def test_best_stump_error_never_above_half():
     positive = rng.random(40) > 0.5
     weights = rng.random(40)
     weights /= weights.sum()
-    assert best_stump(values, positive, weights).error <= 0.5 + 1e-12
+    assert StumpSearcher(values, positive).best(weights).error <= 0.5 + 1e-12
 
 
 def test_best_stump_matches_exhaustive_oracle():
@@ -242,7 +245,7 @@ def test_best_stump_matches_exhaustive_oracle():
             positive[0] = ~positive[0]
         weights = rng.random(ns)
         weights /= weights.sum()
-        found = best_stump(values, positive, weights)
+        found = StumpSearcher(values, positive).best(weights)
         oracle = exhaustive_stump_error(values, positive, weights)
         assert found.error == pytest.approx(oracle, abs=1e-12)
         # the reported stump must achieve its reported error on the samples
@@ -251,19 +254,14 @@ def test_best_stump_matches_exhaustive_oracle():
         assert weights[pred != positive].sum() == pytest.approx(found.error, abs=1e-12)
 
 
-def test_train_weak_full_matrix_oracle():
+def test_stump_search_full_matrix_oracle():
     rng = np.random.default_rng(53)
     windows = rng.integers(0, 256, size=(50, 10, 10)).astype(np.uint8)
     labels = rng.random(50) > 0.5
     if labels.all() or not labels.any():
         labels[0] = ~labels[0]
-    samples = _samples_from_windows(windows, labels)
-    features = enumerate_features(10, 10, min_size=2, stride=3)[:200]
-    found = train_weak(features, samples, variance_normalization=False)
-
-    stack = WindowStack(windows, variance_normalization=False)
-    matrix = stack.feature_matrix(features, normalized=False)
-    weights = np.full(50, 1.0 / 50)
+    rows = feature_table(10, 10, min_size=2, stride=3)[:200]
+    matrix, weights, found = stump_over_table(windows, labels, rows)
     oracle = exhaustive_stump_error(matrix, labels, weights)
     assert found.error == pytest.approx(oracle, abs=1e-12)
 
@@ -391,7 +389,7 @@ def test_window_stack_matches_scalar_path(variance_normalization):
     features = [w.feature for s in stages for w in s.weak]
 
     stack = WindowStack(windows, variance_normalization)
-    matrix = stack.feature_matrix(features, normalized=variance_normalization)
+    matrix = stack.table_matrix(table_of(features), normalized=variance_normalization)
     assert matrix.shape == (len(features), len(windows))
     for i, window in enumerate(windows):
         ii = build_integral(GrayImage(window), with_squares=True)
@@ -426,29 +424,37 @@ def test_window_stack_matches_scalar_path_on_bench_cascade():
 
 # ----------------------------------------------------------------- stages --
 
-def _easy_stage_samples(rng, n=40):
+def _easy_stage_windows(rng, n=40):
+    """n moth windows, then n pool windows, and the positive mask."""
     pos = [synth_moth_window(rng) for _ in range(n)]
     negs = synth_negative_images(n, 20, 20, rng)
-    samples = [TrainSample(p, True) for p in pos]
-    samples += [TrainSample(n, False) for n in negs]
-    return samples
+    return np.stack([w.pixels for w in pos + negs]), np.arange(2 * n) < n
 
 
-def test_train_stage_threshold_keeps_all_positives_at_d_one():
+def boost_stage_on(windows, positive, cfg):
+    """One stage boosted as `train_cascade` boosts it: over a `cfg.seed`
+    subsample of the feature-table rows, with no probe or calibration."""
+    table = feature_table(20, 20, cfg.feature_min_size, cfg.feature_stride)
+    rows = table[_draw_features(len(table), cfg.feature_subsample,
+                                np.random.default_rng(cfg.seed))]
+    matrix = WindowStack(windows, cfg.variance_normalization).table_matrix(
+        rows, cfg.variance_normalization)
+    return _boost_stage(matrix, positive, rows, cfg)
+
+
+def test_boost_stage_threshold_keeps_all_positives_at_d_one():
     rng = np.random.default_rng(54)
-    samples = _easy_stage_samples(rng)
     cfg = TrainConfig(min_detection_rate=1.0, max_weak_per_stage=5,
                       feature_subsample=0.05, seed=1)
-    result = train_stage(samples, cfg)
+    result = boost_stage_on(*_easy_stage_windows(rng), cfg)
     assert result.detection_rate == 1.0
 
 
-def test_train_stage_reaches_fp_target_on_separable_set():
+def test_boost_stage_reaches_fp_target_on_separable_set():
     rng = np.random.default_rng(55)
-    samples = _easy_stage_samples(rng)
     cfg = TrainConfig(max_fp_rate=0.5, max_weak_per_stage=5,
                       feature_subsample=0.05, seed=2)
-    result = train_stage(samples, cfg)
+    result = boost_stage_on(*_easy_stage_windows(rng), cfg)
     assert result.target_met
     assert len(result.stage.weak) <= 5
     assert result.fp_rate <= 0.5
@@ -456,19 +462,17 @@ def test_train_stage_reaches_fp_target_on_separable_set():
 
 def test_calibration_positives_only_bound_the_threshold():
     rng = np.random.default_rng(60)
-    samples = _easy_stage_samples(rng)
+    easy, positive = _easy_stage_windows(rng)
     # Pool windows among the calibration positives score low, so they bind.
     calibration = [synth_moth_window(rng) for _ in range(30)]
     calibration += synth_negative_images(10, 20, 20, rng)
-    windows = np.stack([s.window.pixels for s in samples]
-                       + [c.pixels for c in calibration])
-    positive = np.array([s.positive for s in samples])
-    features = enumerate_features(20, 20, stride=2)
-    matrix = WindowStack(windows).feature_matrix(features, normalized=True)
+    windows = np.concatenate([easy, [c.pixels for c in calibration]])
+    rows = feature_table(20, 20, stride=2)
+    matrix = WindowStack(windows).table_matrix(rows, normalized=True)
     cfg = TrainConfig(min_detection_rate=1.0, max_weak_per_stage=8)
-    ns = len(samples)
-    plain = _boost_stage(matrix[:, :ns], positive, features, cfg)
-    held = _boost_stage(matrix[:, :ns], positive, features, cfg,
+    ns = len(easy)
+    plain = _boost_stage(matrix[:, :ns], positive, rows, cfg)
+    held = _boost_stage(matrix[:, :ns], positive, rows, cfg,
                         calibration=matrix[:, ns:])
     # Same stumps in the same order; the stricter threshold may only make
     # the stage grow further to meet its FP target.
