@@ -40,8 +40,9 @@ from .integral import IntegralImage, Rect, RectOutOfBounds, rect_sum
 
 FORMAT_VERSION = 1
 
-# Surviving windows scored per gather in eval_grid. Bounds the (windows x
-# corners) index and value buffers to a few MB; results do not depend on it.
+# Surviving windows scored per gather in eval_grid, and about the origins
+# per row band in eval_lattice. Bounds the (windows x corners) index and
+# value buffers to a few MB; results do not depend on it.
 GRID_BLOCK = 16_384
 
 
@@ -137,6 +138,16 @@ class Stage:
                                      (r.y + r.h, r.x, -1), (r.y + r.h, r.x + r.w, 1)):
                     at = merged.setdefault((dy, dx), {})
                     at[j] = at.get(j, 0) + sign * weight
+        # Feature values come out of float64 sums; they stay exact integers
+        # while every partial sum is below 2^53, i.e. plane entries < 2^32
+        # (the MAX_PIXELS guard) times summed |coefficients| < 2^21. Checked
+        # on the integer coefficients, before any becomes a float.
+        weight = [0] * len(self.weak)
+        for at in merged.values():
+            for j, k in at.items():
+                weight[j] += abs(k)
+        if max(weight) >= 1 << 21:
+            raise ValueError("feature weights too large for exact evaluation")
         # Corners whose coefficients all cancel are never read. Row-major
         # order keeps each window's reads ascending in memory.
         keep = sorted(yx for yx, at in merged.items() if any(at.values()))
@@ -144,11 +155,6 @@ class Stage:
         for i, yx in enumerate(keep):
             for j, k in merged[yx].items():
                 coef[i, j] = k
-        # Feature values come out of a float64 matmul; they stay exact integers
-        # while every partial sum is below 2^53, i.e. plane entries < 2^32
-        # (the MAX_PIXELS guard) times summed |coefficients| < 2^21.
-        if np.abs(coef).sum(axis=0).max() >= 1 << 21:
-            raise ValueError("feature weights too large for exact evaluation")
         dy, dx = np.array(keep, dtype=np.int64).reshape(-1, 2).T
         params = np.array([(w.threshold, w.polarity, w.vote_pass, w.vote_fail)
                            for w in self.weak], dtype=np.float64).T
@@ -256,37 +262,155 @@ def eval_grid(c: Cascade, ii: IntegralImage, xs: np.ndarray, ys: np.ndarray):
     are gathered in blocks of GRID_BLOCK. Returns (accepted bool array,
     rejecting/last stage index int32 array, float64 margin array),
     bit-identical in decision and score to per-window eval_window.
+
+    `eval_lattice` scores a full origin lattice with the same results.
     """
     n = xs.shape[0]
-    accepted = np.ones(n, dtype=bool)
-    stage_idx = np.zeros(n, dtype=np.int32)
-    margins = np.zeros(n, dtype=np.float64)
     plane = ii.plane.ravel()
     stride = ii.plane.shape[1]
     base = ys * stride + xs
-
     if c.variance_normalization:
-        if ii.squares is None:
-            raise ValueError("variance normalization needs squared sums")
-        area = c.window_w * c.window_h
-        s1 = _window_sums(plane, base, c.window_w, c.window_h * stride)
-        s2 = _window_sums(ii.squares.ravel(), base, c.window_w, c.window_h * stride)
-        var = s2 / area - (s1 / area) ** 2
-        norms = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0)
+        _require_squares(ii)
+        h_rows = c.window_h * stride
+        norms = _norms(_window_sums(plane, base, c.window_w, h_rows),
+                       _window_sums(ii.squares.ravel(), base, c.window_w, h_rows),
+                       c.window_w * c.window_h)
     else:
         norms = np.ones(n, dtype=np.float64)
+    result = _grid_result(n)
+    _score_sparse(c.stages, 0, plane, stride, np.arange(n), base, norms, *result)
+    return result
 
-    alive = np.arange(n)
-    for k, stage in enumerate(c.stages):
+
+def eval_lattice(c: Cascade, ii: IntegralImage, step: int = 1):
+    """`eval_grid` at every window origin of `ii` on a lattice of pitch `step`.
+
+    The origins are x in range(0, width - window_w + 1, step) and y likewise,
+    in row-major order (y, then x), and the result is what `eval_grid`
+    returns for them, bit for bit. Every window is alive in the variance
+    norms and in stage 0, so there each corner read is a strided 2-D view of
+    a padded plane, `plane[dy::step, dx::step]` cut to the lattice, and a
+    weak's value the sum of its corner views times their coefficients: no
+    index arrays and no gathers. Stage 0's survivors go on to the sparse
+    stage loop of `eval_grid`. The lattice is scored in bands of whole rows
+    of about GRID_BLOCK origins, so temporaries stay bounded on any raster.
+
+    The planes hold integers below 2^53 and the coefficients are integers,
+    so any summation order gives the same feature values; the norms keep
+    `_window_sums`' order of operations, and votes are added onto zeros
+    weak by weak, as `eval_window` adds them.
+    """
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    nx = len(range(0, ii.width - c.window_w + 1, step))
+    ny = len(range(0, ii.height - c.window_h + 1, step))
+    result = accepted, _, margins = _grid_result(nx * ny)
+    if nx * ny == 0:
+        return result
+    if c.variance_normalization:
+        _require_squares(ii)
+    threshold = c.stages[0].threshold
+    band = -(-ny // max(1, round(nx * ny / GRID_BLOCK)))  # rows per band
+    alive, alive_norms = [], []
+    for r0 in range(0, ny, band):
+        rows = min(band, ny - r0)
+        scores, norms = _dense_stage(c, ii, r0 * step, rows, nx, step)
+        out = slice(r0 * nx, (r0 + rows) * nx)
+        margins[out] = (scores - threshold).ravel()
+        accepted[out] = ~(scores < threshold).ravel()
+        keep = np.flatnonzero(accepted[out])
+        alive.append(out.start + keep)
+        alive_norms.append(norms.ravel()[keep])
+    alive = np.concatenate(alive)
+    stride = ii.plane.shape[1]
+    row, col = np.divmod(alive, nx)
+    _score_sparse(c.stages[1:], 1, ii.plane.ravel(), stride, alive,
+                  row * (step * stride) + col * step, np.concatenate(alive_norms),
+                  *result)
+    return result
+
+
+def _dense_stage(c: Cascade, ii: IntegralImage, y0: int, rows: int, nx: int,
+                 step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 0's scores and the variance norms, each (rows, nx), of the
+    lattice windows whose origins are rows y0, y0 + step, ... of `ii`."""
+
+    def at(plane: np.ndarray, dy: int, dx: int) -> np.ndarray:
+        y = y0 + dy
+        return plane[y : y + (rows - 1) * step + 1 : step,
+                     dx : dx + (nx - 1) * step + 1 : step]
+
+    def window_sums(plane: np.ndarray) -> np.ndarray:
+        w, h = c.window_w, c.window_h
+        sums = at(plane, h, w) - at(plane, 0, w)
+        sums -= at(plane, h, 0)
+        sums += at(plane, 0, 0)
+        return sums
+
+    if c.variance_normalization:
+        norms = _norms(window_sums(ii.plane), window_sums(ii.squares),
+                       c.window_w * c.window_h)
+    else:
+        norms = np.ones((rows, nx), dtype=np.float64)
+    sc = c.stages[0].corners
+    scores = np.zeros((rows, nx), dtype=np.float64)
+    value = np.empty((rows, nx), dtype=np.float64)
+    term = np.empty((rows, nx), dtype=np.float64)
+    for j in range(sc.coef.shape[1]):
+        value.fill(0.0)
+        for i in np.flatnonzero(sc.coef[:, j]):
+            k, view = sc.coef[i, j], at(ii.plane, sc.dy[i], sc.dx[i])
+            if k == 1:
+                value += view
+            elif k == -1:
+                value -= view
+            else:
+                value += np.multiply(view, k, out=term)
+        value -= np.multiply(norms, sc.threshold[j], out=term)
+        # polarity * (value - threshold * norm) > 0, with polarity +/-1.
+        passed = value > 0 if sc.polarity[j] > 0 else value < 0
+        # Onto zeros, weak by weak, as score_stage adds the votes.
+        scores += np.where(passed, sc.vote_pass[j], sc.vote_fail[j])
+    return scores, norms
+
+
+def _require_squares(ii: IntegralImage) -> None:
+    if ii.squares is None:
+        raise ValueError("variance normalization needs squared sums")
+
+
+def _norms(s1: np.ndarray, s2: np.ndarray, area: int) -> np.ndarray:
+    """Window standard deviations from pixel and squared-pixel sums (1.0
+    where the variance is not positive), as `window_norm` computes them."""
+    var = s2 / area - (s1 / area) ** 2
+    return np.sqrt(var, where=var > 0, out=np.ones_like(var))
+
+
+def _grid_result(n: int):
+    """`eval_grid`'s result arrays for n windows before any stage: all
+    accepted, at stage 0, with zero margins."""
+    return (np.ones(n, dtype=bool), np.zeros(n, dtype=np.int32),
+            np.zeros(n, dtype=np.float64))
+
+
+def _score_sparse(stages, first: int, plane: np.ndarray, stride: int,
+                  alive: np.ndarray, base: np.ndarray, norms: np.ndarray,
+                  accepted: np.ndarray, stage_idx: np.ndarray,
+                  margins: np.ndarray) -> None:
+    """Run `stages`, numbered from `first`, on the windows numbered `alive`
+    (flat origins `base`, variance norms `norms`), each stage on the
+    survivors of the one before, writing `eval_grid`'s results at those
+    numbers."""
+    for k, stage in enumerate(stages, first):
         if alive.size == 0:
             break
-        scores = score_stage(stage.corners, plane, stride, base[alive], norms[alive])
+        scores = score_stage(stage.corners, plane, stride, base, norms)
         margins[alive] = scores - stage.threshold
         stage_idx[alive] = k
         rejected = scores < stage.threshold
         accepted[alive[rejected]] = False
-        alive = alive[~rejected]
-    return accepted, stage_idx, margins
+        keep = ~rejected
+        alive, base, norms = alive[keep], base[keep], norms[keep]
 
 
 def _window_sums(flat: np.ndarray, base: np.ndarray, w: int, h_rows: int) -> np.ndarray:
@@ -424,8 +548,12 @@ def cascade_from_json(text: str) -> Cascade:
                 weaks.append(WeakClassifier(HaarFeature(tuple(rects)), *stump))
             except ValueError as exc:
                 raise BadFieldValue(f"{ctx}: {exc}") from None
-        stages.append(Stage(tuple(weaks),
-                            _field(sdoc, "threshold", f"stage {si}", float)))
+        stage = Stage(tuple(weaks), _field(sdoc, "threshold", f"stage {si}", float))
+        try:
+            stage.corners  # compiled now, so its weight bound is a format error
+        except ValueError as exc:
+            raise BadFieldValue(f"stage {si}: {exc}") from None
+        stages.append(stage)
     return Cascade(win_w, win_h, tuple(stages), varnorm)
 
 

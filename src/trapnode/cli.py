@@ -141,13 +141,18 @@ def _load_checked(path: Path, where: str, model, nested, from_json):
 @contextlib.contextmanager
 def _report(out: str | None):
     """The stream a report is written to: stdout, or a new file at `out`
-    that is removed again if writing it fails."""
+    that is removed again if writing it fails. A file that cannot be
+    opened is an input error."""
     if not out:
         yield sys.stdout
         return
     path = Path(out)
     try:
-        with path.open("w", encoding="ascii") as fh:
+        fh = path.open("w", encoding="ascii")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    try:
+        with fh:
             yield fh
     except BaseException:
         path.unlink(missing_ok=True)
@@ -282,6 +287,7 @@ def _parse_box_file(path: Path, with_score: bool):
 
 
 def cmd_eval(args) -> int:
+    _require_finite("--iou", args.iou)
     pred_path = Path(args.predictions)
     gt_path = Path(args.ground_truth)
     preds = _parse_box_file(pred_path, with_score=True)
@@ -296,13 +302,13 @@ def cmd_eval(args) -> int:
                  f"{report.detection_rate:.6f},{report.false_positives}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps({
+        _emit(json.dumps({
             "matched": report.matched,
             "total_gt": report.total_gt,
             "total_pred": report.total_pred,
             "detection_rate": report.detection_rate,
             "false_positives": report.false_positives,
-        }, indent=1), encoding="ascii")
+        }, indent=1), args.json_out)
     return 0
 
 

@@ -1,12 +1,16 @@
 """Multi-scale detection pipeline: pyramid, scratchpad-budgeted tiling,
 window scan, coordinate remapping, dedup, and size filtering.
 
-Each tile is scanned by `cascade.eval_grid`, which scores all of a tile's
-windows stage by stage from corner offsets compiled once per cascade stage.
-Tiles are independent read-only work items; a dispatcher hands them to a
-thread pool of at most `workers`, the tile count and the usable CPUs, and
-the merged output is order-normalized, so the result is a pure function of
-(image, cascade, config) at any worker count.
+Each tile is scanned by `cascade.eval_lattice`, which scores all of a
+tile's windows at the scan step: the variance norms and stage 0 on strided
+views of the tile's integral planes, the later stages on the survivors from
+corner offsets compiled once per cascade stage. Tiles are independent
+read-only work items; a dispatcher hands them to a thread pool of at most
+`workers`, the tile count and the usable CPUs, and the merged output is
+order-normalized, so the result is a pure function of (image, cascade,
+config) at any worker count. Every level's tiles are planned from
+`pyramid_dims` before any scan, and level 0's tiles are scanned while the
+other levels are downscaled.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import Cascade, eval_grid
+from .cascade import Cascade, eval_lattice
 from .imaging import GrayImage, downscale
 from .integral import Rect, build_integral
 
@@ -97,17 +101,25 @@ class Detection:
     score: float
 
 
-def build_pyramid(img: GrayImage, cfg: PyramidConfig) -> list[GrayImage]:
-    """Level s has dims (floor(W/f^s), floor(H/f^s)); level 0 is the input."""
-    levels = [img]
+def pyramid_dims(width: int, height: int,
+                 cfg: PyramidConfig) -> list[tuple[int, int]]:
+    """(width, height) of each pyramid level of a width x height image:
+    level s is (floor(W/f^s), floor(H/f^s)), level 0 the input."""
+    dims = [(width, height)]
     for s in range(1, cfg.num_levels):
         f = cfg.scale_factor ** s
-        w = int(img.width / f)
-        h = int(img.height / f)
+        w = int(width / f)
+        h = int(height / f)
         if w < 1 or h < 1:
             raise ValueError(f"image too small for {cfg.num_levels} pyramid levels")
-        levels.append(downscale(img, w, h))
-    return levels
+        dims.append((w, h))
+    return dims
+
+
+def build_pyramid(img: GrayImage, cfg: PyramidConfig) -> list[GrayImage]:
+    """The pyramid levels at `pyramid_dims`; level 0 is the input."""
+    dims = pyramid_dims(img.width, img.height, cfg)
+    return [img] + [downscale(img, w, h) for w, h in dims[1:]]
 
 
 def _axis_origins(extent: int, tile: int, overlap: int) -> list[int]:
@@ -182,7 +194,8 @@ def plan_tiles(level_w: int, level_h: int, budget: ScratchBudget,
 def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> np.ndarray:
     """Evaluate every window of a tile at the given stride.
 
-    Builds the tile-local integral image(s) and returns the accepted windows
+    Builds the tile-local integral image(s), scores the window lattice with
+    `cascade.eval_lattice`, and returns the accepted windows
     as an (n, 3) float64 array of tile-local (x, y, margin) rows, where
     margin is the final-stage score minus its threshold. Rows follow scan
     order: y, then x, ascending. A tile smaller than the window yields no
@@ -193,13 +206,10 @@ def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> np.ndarray:
     if tile_pixels.width < c.window_w or tile_pixels.height < c.window_h:
         return np.empty((0, 3))
     ii = build_integral(tile_pixels, with_squares=c.variance_normalization)
-    ox = np.arange(0, tile_pixels.width - c.window_w + 1, step, dtype=np.int64)
-    oy = np.arange(0, tile_pixels.height - c.window_h + 1, step, dtype=np.int64)
-    xs = np.tile(ox, oy.size)
-    ys = np.repeat(oy, ox.size)
-    accepted, _, margins = eval_grid(c, ii, xs, ys)
+    accepted, _, margins = eval_lattice(c, ii, step)
     idx = np.flatnonzero(accepted)
-    return np.column_stack((xs[idx], ys[idx], margins[idx]))
+    ys, xs = np.divmod(idx, len(range(0, tile_pixels.width - c.window_w + 1, step)))
+    return np.column_stack((xs * step, ys * step, margins[idx]))
 
 
 def _scan_level_tile(args):
@@ -260,28 +270,34 @@ def detect(img: GrayImage, c: Cascade,
     if group_iou is not None and not 0.0 < group_iou <= 1.0:
         raise ValueError(f"group_iou must be in (0, 1], got {group_iou}")
 
-    levels = build_pyramid(img, cfg)
+    dims = pyramid_dims(img.width, img.height, cfg)
     window = (c.window_w, c.window_h)
     sides = [math.floor(c.window_w * cfg.scale_factor ** lvl + 0.5)
-             for lvl in range(len(levels))]
-    jobs = []
-    for lvl, level_img in enumerate(levels):
-        if level_img.width < c.window_w or level_img.height < c.window_h:
+             for lvl in range(len(dims))]
+    jobs = []  # (level, tile), every one planned before any scan starts
+    for lvl, (w, h) in enumerate(dims):
+        if w < c.window_w or h < c.window_h:
             raise ValueError(
-                f"pyramid level {lvl} ({level_img.width}x{level_img.height}) "
-                "smaller than the scan window"
-            )
-        tiles = plan_tiles(level_img.width, level_img.height, budget,
-                           overlap=overlap, window=window)
+                f"pyramid level {lvl} ({w}x{h}) smaller than the scan window")
+        tiles = plan_tiles(w, h, budget, overlap=overlap, window=window)
         if sides[lvl] <= cfg.max_detection_px:
-            jobs += [(lvl, (c, level_img, tile, step)) for tile in tiles]
+            jobs += [(lvl, tile) for tile in tiles]
 
     workers = min(workers, len(jobs), _usable_cpus())
     if workers <= 1:
-        hit_arrays = [_scan_level_tile(args) for _, args in jobs]
+        levels = build_pyramid(img, cfg)
+        hit_arrays = [_scan_level_tile((c, levels[lvl], tile, step))
+                      for lvl, tile in jobs]
     else:
+        # Level 0 is the input itself: its tiles are scanned while this
+        # thread downscales the other levels.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hit_arrays = list(pool.map(_scan_level_tile, (args for _, args in jobs)))
+            futures = [pool.submit(_scan_level_tile, (c, img, tile, step))
+                       for lvl, tile in jobs if lvl == 0]
+            levels = build_pyramid(img, cfg)
+            futures += [pool.submit(_scan_level_tile, (c, levels[lvl], tile, step))
+                        for lvl, tile in jobs if lvl > 0]
+            hit_arrays = [f.result() for f in futures]
 
     by_level: dict[int, list[np.ndarray]] = {}
     for (lvl, _), rows in zip(jobs, hit_arrays):

@@ -146,7 +146,6 @@ def downscale(img: GrayImage, new_w: int, new_h: int) -> GrayImage:
     if new_w == img.width and new_h == img.height:
         return GrayImage(img.pixels.copy())
 
-    src = img.pixels.astype(np.float64)
     xs = (np.arange(new_w) + 0.5) * (img.width / new_w) - 0.5
     ys = (np.arange(new_h) + 0.5) * (img.height / new_h) - 0.5
     xs = np.clip(xs, 0.0, img.width - 1.0)
@@ -159,8 +158,11 @@ def downscale(img: GrayImage, new_w: int, new_h: int) -> GrayImage:
     tx = xs - x0
     ty = ys - y0
 
-    top = src[y0[:, None], x0[None, :]] * (1.0 - tx) + src[y0[:, None], x1[None, :]] * tx
-    bot = src[y1[:, None], x0[None, :]] * (1.0 - tx) + src[y1[:, None], x1[None, :]] * tx
+    # Rows, then columns, gathered as uint8; each product with a float64
+    # weight converts the pixel exactly, so the arithmetic is unchanged.
+    r0, r1 = img.pixels[y0], img.pixels[y1]
+    top = r0[:, x0] * (1.0 - tx) + r0[:, x1] * tx
+    bot = r1[:, x0] * (1.0 - tx) + r1[:, x1] * tx
     val = top * (1.0 - ty[:, None]) + bot * ty[:, None]
     out = np.clip(np.floor(val + 0.5), 0, 255).astype(np.uint8)
     return GrayImage(out)

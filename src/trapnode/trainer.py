@@ -18,7 +18,9 @@ subsample of its rows. Their values on the stage's windows come from one
 matmul of the rows' rect-corner coefficients with the windows' stacked padded
 planes (`WindowStack`), and a `HaarFeature` is built only for the few rows
 boosting picks. Training windows and the FP probe are scored stage by stage
-with `cascade.score_stage`, the kernel `eval_grid` scans with.
+with `cascade.score_stage`, the sparse kernel of `eval_grid`; the miner's
+first pass over a pool raster is a dense `eval_lattice` scan, as the
+detector's.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier, eval_grid,
-                      score_stage)
+                      eval_lattice, score_stage)
 from .detector import PyramidConfig, build_pyramid
 from .imaging import GrayImage, downscale
 from .integral import Rect, _padded_prefix_sums, build_integral
@@ -538,20 +540,23 @@ class _PoolGrid:
                   variance_normalization: bool) -> np.ndarray:
         """Numbers of raster r's windows that pass all of `stages`.
 
-        The raster's integral planes are built for the call and scanned with
-        `eval_grid`, as the detector scans a tile.
+        The raster's integral planes are built for the call. Its first scan
+        covers every window and goes through `eval_lattice`, as the detector
+        scans a tile; a later one scores the kept survivors with `eval_grid`.
         """
         alive = self._alive[r]
-        if alive is None:
-            alive = np.arange(self.offsets[r + 1] - self.offsets[r])
         done = self._passed[r]
-        if done < len(stages) and alive.size:
+        if done < len(stages) and (alive is None or alive.size):
             ii = build_integral(self.rasters[r], with_squares=variance_normalization)
-            ys, xs = np.divmod(alive, self.cols[r])
             new = Cascade(self.win_w, self.win_h, tuple(stages[done:]),
                           variance_normalization)
-            accepted, _, _ = eval_grid(new, ii, xs, ys)
-            alive = alive[accepted]
+            if alive is None:
+                alive = np.flatnonzero(eval_lattice(new, ii)[0])
+            else:
+                ys, xs = np.divmod(alive, self.cols[r])
+                alive = alive[eval_grid(new, ii, xs, ys)[0]]
+        elif alive is None:
+            alive = np.arange(self.offsets[r + 1] - self.offsets[r])
         if stages:
             self._alive[r], self._passed[r] = alive, len(stages)
         return alive + self.offsets[r]

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import make_probe_cascade, random_image
-from trapnode.cascade import (Cascade, EmptyStage, HaarFeature, MissingField,
-                              RectOutOfWindow, Stage, WeakClassifier,
+from trapnode import cascade as cascade_module
+from trapnode.cascade import (BadFieldValue, Cascade, EmptyStage, HaarFeature,
+                              MissingField, RectOutOfWindow, Stage, WeakClassifier,
                               cascade_from_json, cascade_to_json, eval_grid,
-                              eval_window, feature_value, load_cascade)
+                              eval_lattice, eval_window, feature_value,
+                              load_cascade)
 from trapnode.imaging import GrayImage
 from trapnode.integral import Rect, build_integral
 from trapnode.synthetic import synth_scene
@@ -185,6 +187,82 @@ def test_eval_grid_matches_eval_window_on_bench_cascade():
     assert_grid_matches_windows(cascade, ii, xs[deep], ys[deep])
 
 
+# ---------------------------------------------------------- eval_lattice --
+# eval_grid on the same origins is the lattice path's referee.
+
+def assert_lattice_matches_grid(cascade, ii, step):
+    ox = np.arange(0, ii.width - cascade.window_w + 1, step, dtype=np.int64)
+    oy = np.arange(0, ii.height - cascade.window_h + 1, step, dtype=np.int64)
+    ys, xs = (a.ravel() for a in np.meshgrid(oy, ox, indexing="ij"))
+    got = eval_lattice(cascade, ii, step)
+    for g, want in zip(got, eval_grid(cascade, ii, xs, ys), strict=True):
+        assert g.dtype == want.dtype
+        assert np.array_equal(g, want)
+    return got
+
+
+@pytest.mark.parametrize("variance_normalization", [True, False])
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_eval_lattice_matches_eval_grid_all_templates(step, variance_normalization):
+    # Stage 0 holds 3 weaks; the later stages up to 9, from all five templates.
+    rng = np.random.default_rng(42)
+    cascade = all_template_cascade(rng, variance_normalization)
+    img = random_image(rng, 52, 44)
+    ii = build_integral(img, with_squares=variance_normalization)
+    accepted, stages, _ = assert_lattice_matches_grid(cascade, ii, step)
+    assert accepted.any() and not accepted.all()
+    assert (stages == 0).any() and (stages > 0).any()
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_eval_lattice_dense_stage_of_many_weaks(step):
+    # Stage 0 with every template's weaks; one stage only, so every window
+    # is decided by the dense path.
+    rng = np.random.default_rng(43)
+    stages = all_template_cascade(rng, True).stages
+    one = Cascade(20, 20, (stages[2],), variance_normalization=True)
+    assert len(one.stages[0].weak) == 9
+    ii = build_integral(random_image(rng, 47, 41), with_squares=True)
+    accepted, stage_idx, _ = assert_lattice_matches_grid(one, ii, step)
+    assert accepted.any() and not accepted.all()
+    assert not stage_idx.any()
+
+
+def test_eval_lattice_bands_and_edges(monkeypatch):
+    rng = np.random.default_rng(44)
+    cascade = make_probe_cascade(seed=9, stages=3, weak_per_stage=3)
+    ii = build_integral(random_image(rng, 45, 38), with_squares=True)
+    # Bands of one row, bands of two rows, and bands narrower than a row.
+    for block in (26, 52, 7):
+        monkeypatch.setattr(cascade_module, "GRID_BLOCK", block)
+        assert_lattice_matches_grid(cascade, ii, 1)
+        assert_lattice_matches_grid(cascade, ii, 2)
+    monkeypatch.undo()
+    # A raster of exactly one window, checked against eval_window too.
+    one = build_integral(random_image(rng, 20, 20), with_squares=True)
+    accepted, stage_idx, margins = assert_lattice_matches_grid(cascade, one, 3)
+    ref = eval_window(cascade, one, (0, 0))
+    assert (accepted.tolist(), stage_idx.tolist(), margins.tolist()) == (
+        [ref.accepted], [ref.stage], [ref.score])
+    # A raster narrower than the window has no origins.
+    narrow = build_integral(random_image(rng, 19, 30), with_squares=True)
+    assert [a.size for a in assert_lattice_matches_grid(cascade, narrow, 1)] == [0, 0, 0]
+    with pytest.raises(ValueError):
+        eval_lattice(cascade, ii, 0)
+    with pytest.raises(ValueError, match="squared sums"):
+        eval_lattice(cascade, build_integral(random_image(rng, 30, 30)), 1)
+
+
+def test_eval_lattice_matches_eval_grid_on_bench_cascade():
+    cascade = load_cascade(BENCH_CASCADE)
+    rng = np.random.default_rng(45)
+    for moths, step in (([], 1), ([22, 27], 1), ([25, 21, 29], 2)):
+        img, _ = synth_scene(320, 240, moths, rng, clutter=True)
+        ii = build_integral(img, with_squares=True)
+        _, stages, _ = assert_lattice_matches_grid(cascade, ii, step)
+        assert (stages >= 5).any()
+
+
 def test_feature_value_zero_image_and_identity_scale():
     feature = HaarFeature(((Rect(1, 1, 3, 2), 1), (Rect(4, 1, 3, 2), -1)))
     zero = build_integral(GrayImage(np.zeros((20, 20), dtype=np.uint8)))
@@ -292,3 +370,13 @@ def test_size_accounting():
 def test_zero_mean_invariant_enforced():
     with pytest.raises(ValueError):
         HaarFeature(((Rect(0, 0, 4, 4), 1), (Rect(4, 0, 2, 2), -1)))
+
+
+@pytest.mark.parametrize("weight", [10 ** 6, 10 ** 30, 10 ** 400],
+                         ids=["1e6", "1e30", "1e400"])
+def test_reader_rejects_weights_too_large_for_exact_evaluation(weight):
+    feature = HaarFeature(((Rect(0, 0, 2, 4), weight), (Rect(2, 0, 2, 4), -weight)))
+    weak = WeakClassifier(feature, 0.0, 1, 1.0, -1.0)
+    text = cascade_to_json(Cascade(8, 8, (Stage((weak,), 0.5),)))
+    with pytest.raises(BadFieldValue, match="stage 0: feature weights too large"):
+        cascade_from_json(text)

@@ -595,6 +595,57 @@ def test_detect_cascade_reader_fuzz(data, fuzz_scene, tmp_path_factory):
                   work / "d.csv")
 
 
+@pytest.mark.parametrize("weight", [10 ** 30, 10 ** 400], ids=["1e30", "1e400"])
+def test_detect_rejects_feature_weights_too_large(weight, fuzz_scene, tmp_path):
+    doc = copy.deepcopy(FUZZ_CASCADE)
+    for rect in doc["stages"][0]["weak"][0]["rects"]:
+        rect["weight"] *= weight
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    rc = exits_cleanly(["detect", str(fuzz_scene), str(tmp_path / "c.json")],
+                       tmp_path / "d.csv")
+    assert rc == 3
+
+
+def eval_inputs(tmp_path) -> list[str]:
+    (tmp_path / "p.csv").write_text("img,5,6,20,20,0,1.0\n")
+    (tmp_path / "g.csv").write_text("img,5,6,20,20\n")
+    return [str(tmp_path / "p.csv"), str(tmp_path / "g.csv")]
+
+
+@pytest.mark.parametrize("command", ["detect", "eval", "eval --json-out", "cnn"])
+def test_report_into_missing_directory(command, fuzz_scene, tmp_path, capsys):
+    missing = tmp_path / "nodir" / "x.out"
+    if command == "detect":
+        (tmp_path / "c.json").write_text(json.dumps(FUZZ_CASCADE))
+        argv = ["detect", str(fuzz_scene), str(tmp_path / "c.json"), "--out", str(missing)]
+    elif command == "eval":
+        argv = ["eval", *eval_inputs(tmp_path), "--out", str(missing)]
+    elif command == "eval --json-out":
+        argv = ["eval", *eval_inputs(tmp_path), "--out", str(tmp_path / "r.csv"),
+                "--json-out", str(missing)]
+    else:
+        argv = ["cnn", "--out", str(missing)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("empty", [False, True])
+def test_eval_rejects_non_finite_iou(value, empty, tmp_path, capsys):
+    inputs = eval_inputs(tmp_path)
+    if empty:
+        for path in inputs:
+            Path(path).write_text("")
+    rc = main(["eval", *inputs, f"--iou={value}", "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"error: --iou must be a finite number, got {float(value)}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("fuzzed", ["predictions", "ground_truth"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.one_of(

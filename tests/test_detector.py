@@ -6,7 +6,8 @@ import pytest
 from conftest import make_probe_cascade, random_image
 from trapnode.cascade import Cascade, HaarFeature, Stage, WeakClassifier, eval_window
 from trapnode.detector import (BudgetTooSmall, PyramidConfig, ScratchBudget,
-                               build_pyramid, detect, plan_tiles, scan_tile)
+                               build_pyramid, detect, plan_tiles, pyramid_dims,
+                               scan_tile)
 from trapnode.imaging import GrayImage
 from trapnode.integral import Rect, build_integral
 
@@ -34,6 +35,15 @@ def test_pyramid_dims_320x240_five_levels():
     expected = [(int(320 / 1.1 ** s), int(240 / 1.1 ** s)) for s in range(5)]
     assert dims == expected == [(320, 240), (290, 218), (264, 198),
                                 (240, 180), (218, 163)]
+
+
+def test_pyramid_dims_are_the_built_levels():
+    img = GrayImage(np.zeros((61, 97), dtype=np.uint8))
+    for cfg in (PyramidConfig(), PyramidConfig(scale_factor=1.37, num_levels=7)):
+        assert pyramid_dims(97, 61, cfg) == [
+            (l.width, l.height) for l in build_pyramid(img, cfg)]
+    with pytest.raises(ValueError, match="too small for 9 pyramid levels"):
+        pyramid_dims(97, 61, PyramidConfig(scale_factor=2.0, num_levels=9))
 
 
 def test_pyramid_single_level_is_original():
@@ -213,6 +223,24 @@ def test_detect_skips_levels_the_size_filter_drops(monkeypatch):
     none_kept = PyramidConfig(num_levels=5, max_detection_px=19)
     assert detect(img, cascade, cfg=none_kept, budget=budget, workers=2) == []
     assert len(scanned) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg,budget,error", [
+    # Level 2 of a 22x22 image is 18x18, under the 20x20 window.
+    (PyramidConfig(num_levels=3), ScratchBudget(), ValueError),
+    (PyramidConfig(num_levels=3), ScratchBudget(bytes=1_000), BudgetTooSmall),
+])
+def test_detect_raises_before_any_scan(cfg, budget, error, workers, monkeypatch):
+    import trapnode.detector as detector
+
+    calls = []
+    monkeypatch.setattr(detector, "scan_tile", lambda *a: calls.append("scan"))
+    monkeypatch.setattr(detector, "downscale", lambda *a: calls.append("downscale"))
+    img = random_image(np.random.default_rng(46), 22, 22)
+    with pytest.raises(error):
+        detect(img, make_probe_cascade(), cfg=cfg, budget=budget, workers=workers)
+    assert calls == []
 
 
 @pytest.mark.parametrize("factor", [1.1, 1.25])

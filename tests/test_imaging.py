@@ -149,6 +149,41 @@ def test_downscale_matches_scalar_reference_random():
         assert out.pixels.tolist() == _scalar_bilinear(px.tolist(), nw, nh)
 
 
+def _float64_downscale(pixels, new_w, new_h):
+    # The vectorized formula on a float64 copy of the frame, gathered by
+    # (row, column) pairs, as downscale computed it before it gathered uint8.
+    h, w = pixels.shape
+    src = pixels.astype(np.float64)
+    xs = np.clip((np.arange(new_w) + 0.5) * (w / new_w) - 0.5, 0.0, w - 1.0)
+    ys = np.clip((np.arange(new_h) + 0.5) * (h / new_h) - 0.5, 0.0, h - 1.0)
+    x0, y0 = np.floor(xs).astype(np.int64), np.floor(ys).astype(np.int64)
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    tx, ty = xs - x0, ys - y0
+    top = src[y0[:, None], x0[None, :]] * (1.0 - tx) + src[y0[:, None], x1[None, :]] * tx
+    bot = src[y1[:, None], x0[None, :]] * (1.0 - tx) + src[y1[:, None], x1[None, :]] * tx
+    val = top * (1.0 - ty[:, None]) + bot * ty[:, None]
+    return np.clip(np.floor(val + 0.5), 0, 255).astype(np.uint8)
+
+
+def test_downscale_matches_float64_formula():
+    rng = np.random.default_rng(8)
+    sizes = [(int(rng.integers(1, 90)), int(rng.integers(1, 90))) for _ in range(40)]
+    sizes += [(320, 240), (97, 61), (1, 1), (1, 33), (29, 1)]
+    for w, h in sizes:
+        px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        targets = [(int(rng.integers(1, w + 1)), int(rng.integers(1, h + 1))),
+                   (1, 1), (1, h), (w, 1), (max(1, w * 2 // 3), max(1, h * 5 // 7))]
+        for nw, nh in targets:
+            got = downscale(GrayImage(px), nw, nh).pixels
+            assert np.array_equal(got, _float64_downscale(px, nw, nh)), (w, h, nw, nh)
+    # The pyramid levels of a frame, at the detector's x1.1 steps.
+    px = rng.integers(0, 256, size=(240, 320), dtype=np.uint8)
+    for s in range(1, 5):
+        nw, nh = int(320 / 1.1 ** s), int(240 / 1.1 ** s)
+        assert np.array_equal(downscale(GrayImage(px), nw, nh).pixels,
+                              _float64_downscale(px, nw, nh))
+
+
 def test_downscale_preserves_value_bounds():
     rng = np.random.default_rng(7)
     px = rng.integers(40, 201, size=(30, 30), dtype=np.uint8)
