@@ -34,7 +34,7 @@ scene, truth = synth_scene(320, 240, [20, 22, 26], rng)
 detections = detect(scene, result.cascade,
                     cfg=PyramidConfig(num_levels=5),
                     budget=ScratchBudget(bytes=99_600),
-                    overlap=20, workers=8, group_iou=0.3)
+                    overlap=20, group_iou=0.3)
 print(f"   {len(detections)} detections for {len(truth)} planted moths")
 for d in detections[:10]:
     best = max((iou(d.bbox, t) for t in truth), default=0.0)

@@ -4,20 +4,18 @@ window scan, coordinate remapping, dedup, and size filtering.
 Each tile is scanned by `cascade.eval_lattice`, which scores all of a
 tile's windows at the scan step: the variance norms and stage 0 on strided
 views of the tile's integral planes, the later stages on the survivors from
-corner offsets compiled once per cascade stage. Tiles are independent
-read-only work items; a dispatcher hands them to a thread pool of at most
-`workers`, the tile count and the usable CPUs, and the merged output is
-order-normalized, so the result is a pure function of (image, cascade,
-config) at any worker count. Every level's tiles are planned from
-`pyramid_dims` before any scan, and level 0's tiles are scanned while the
-other levels are downscaled.
+corner offsets compiled once per cascade stage. Every level's tiles are
+planned from `pyramid_dims` and validated before any scan; the pyramid is
+then built and the tiles are scanned one after another in the calling
+thread. Hits stay in numpy columns through the remap, the ordering and the
+optional IoU grouping, and `Detection` objects are built only for the rows
+that are returned, so the result is a pure function of (image, cascade,
+config).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,9 +210,9 @@ def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> np.ndarray:
     return np.column_stack((xs * step, ys * step, margins[idx]))
 
 
-def _scan_level_tile(args):
+def _scan_level_tile(cascade: Cascade, level_img: GrayImage, tile: TileSpec,
+                     step: int) -> np.ndarray:
     """Level-raster (x, y, margin) rows of a tile's hits inside its core."""
-    cascade, level_img, tile, step = args
     sub = GrayImage(level_img.pixels[tile.y : tile.y + tile.h, tile.x : tile.x + tile.w])
     hits = scan_tile(cascade, sub, step)
     hits[:, :2] += (tile.x, tile.y)
@@ -223,24 +221,27 @@ def _scan_level_tile(args):
                 & (core.y <= y) & (y < core.y + core.h)]
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _group_by_iou(rows: np.ndarray, thr: float) -> np.ndarray:
+    """Ascending indices of the (x, y, side, level, score) rows that greedy
+    grouping keeps: the highest-scoring box, ties broken by (level, y, x)
+    and then by row order, is kept, every box overlapping it by IoU >= thr
+    is dropped, and the rest are grouped again.
 
-
-def _group_by_iou(dets: list[Detection], thr: float) -> list[Detection]:
-    # Greedy grouping: keep the highest-scoring box, drop everything that
-    # overlaps it by >= thr, repeat.
-    from .evaluator import iou
-
-    remaining = sorted(dets, key=lambda d: (-d.score, d.level, d.bbox.y, d.bbox.x))
-    kept: list[Detection] = []
-    while remaining:
-        best = remaining.pop(0)
-        kept.append(best)
-        remaining = [d for d in remaining if iou(best.bbox, d.bbox) < thr]
-    return kept
+    The IoU of two integer boxes is an integer intersection over an integer
+    union below 2^53, and int64 true division rounds it exactly as
+    `evaluator.iou` does, so the `< thr` tests agree with it.
+    """
+    x, y, side, level = rows[:, :4].astype(np.int64).T
+    rest = np.lexsort((x, y, level, -rows[:, 4]))
+    kept = []
+    while rest.size:
+        i, rest = rest[0], rest[1:]
+        kept.append(i)
+        iw = np.minimum(x[i] + side[i], x[rest] + side[rest]) - np.maximum(x[i], x[rest])
+        ih = np.minimum(y[i] + side[i], y[rest] + side[rest]) - np.maximum(y[i], y[rest])
+        inter = np.maximum(iw, 0) * np.maximum(ih, 0)
+        rest = rest[inter / (side[i] ** 2 + side[rest] ** 2 - inter) < thr]
+    return np.sort(np.array(kept, dtype=np.intp))
 
 
 def detect(img: GrayImage, c: Cascade,
@@ -250,15 +251,15 @@ def detect(img: GrayImage, c: Cascade,
            step: int = 1,
            workers: int = 8,
            group_iou: float | None = None) -> list[Detection]:
-    """Full pipeline: pyramid -> tiles -> parallel scan -> remap -> filter.
+    """Full pipeline: pyramid -> tiles -> scan -> remap -> filter.
 
     Levels whose box side exceeds max_detection_px are planned but not
     scanned. Hits are kept only when their origin falls in the emitting
     tile's core region, mapped back to original coordinates by the level
     scale factor (floor(v * f + 0.5), clipped to the image), and sorted
-    stably by (level, y, x). Output is identical for any `workers` value;
-    the scan uses at most `workers` threads, one per tile and one per usable
-    CPU.
+    stably by (level, y, x). Every tile is scanned in the calling thread;
+    `workers` must be >= 1 and changes neither the output nor the thread
+    count.
 
     `group_iou` optionally merges mutually-overlapping detections across the
     whole output, keeping the highest score per group (off by default).
@@ -283,39 +284,20 @@ def detect(img: GrayImage, c: Cascade,
         if sides[lvl] <= cfg.max_detection_px:
             jobs += [(lvl, tile) for tile in tiles]
 
-    workers = min(workers, len(jobs), _usable_cpus())
-    if workers <= 1:
-        levels = build_pyramid(img, cfg)
-        hit_arrays = [_scan_level_tile((c, levels[lvl], tile, step))
-                      for lvl, tile in jobs]
-    else:
-        # Level 0 is the input itself: its tiles are scanned while this
-        # thread downscales the other levels.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_level_tile, (c, img, tile, step))
-                       for lvl, tile in jobs if lvl == 0]
-            levels = build_pyramid(img, cfg)
-            futures += [pool.submit(_scan_level_tile, (c, levels[lvl], tile, step))
-                        for lvl, tile in jobs if lvl > 0]
-            hit_arrays = [f.result() for f in futures]
-
-    by_level: dict[int, list[np.ndarray]] = {}
-    for (lvl, _), rows in zip(jobs, hit_arrays):
-        by_level.setdefault(lvl, []).append(rows)
-    detections = []
-    for lvl, parts in by_level.items():
-        f = cfg.scale_factor ** lvl
-        side = sides[lvl]
-        hits = np.concatenate(parts)
-        x = np.minimum(np.floor(hits[:, 0] * f + 0.5), img.width - side)
-        y = np.minimum(np.floor(hits[:, 1] * f + 0.5), img.height - side)
-        order = np.lexsort((x, y))
-        detections += [Detection(Rect(bx, by, side, side), lvl, score)
-                       for bx, by, score in zip(x[order].astype(np.int64).tolist(),
-                                                y[order].astype(np.int64).tolist(),
-                                                hits[order, 2].tolist())]
-
+    levels = build_pyramid(img, cfg)
+    parts = [np.empty((0, 5))]  # (x, y, side, level, score) rows per tile
+    for lvl, tile in jobs:
+        hits = _scan_level_tile(c, levels[lvl], tile, step)
+        f, side = cfg.scale_factor ** lvl, sides[lvl]
+        parts.append(np.column_stack((
+            np.minimum(np.floor(hits[:, 0] * f + 0.5), img.width - side),
+            np.minimum(np.floor(hits[:, 1] * f + 0.5), img.height - side),
+            np.full(len(hits), side), np.full(len(hits), lvl), hits[:, 2])))
+    rows = np.concatenate(parts)
+    rows = rows[np.lexsort((rows[:, 0], rows[:, 1], rows[:, 3]))]
     if group_iou is not None:
-        detections = _group_by_iou(detections, group_iou)
-        detections.sort(key=lambda d: (d.level, d.bbox.y, d.bbox.x))
-    return detections
+        rows = rows[_group_by_iou(rows, group_iou)]
+
+    xs, ys, ss, ls = rows[:, :4].astype(np.int64).T.tolist()
+    return [Detection(Rect(x, y, s, s), lvl, score)
+            for x, y, s, lvl, score in zip(xs, ys, ss, ls, rows[:, 4].tolist())]

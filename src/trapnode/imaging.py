@@ -89,6 +89,10 @@ def load_pgm(data: bytes) -> GrayImage:
     for _ in range(3):
         tok, pos = _next_token(data, pos)
         try:
+            # ASCII decimal digits only: int() alone also takes b"+40" and
+            # b"2_0", and raises ValueError past its digit limit.
+            if not tok.isdigit():
+                raise ValueError(tok)
             fields.append(int(tok))
         except ValueError:
             raise MalformedHeader(f"non-numeric header field {tok!r}") from None

@@ -567,11 +567,15 @@ def mutated_cascades(draw) -> bytes:
     return json.dumps(doc).encode()
 
 
+# A 32x24 scene that detect runs on with `FUZZ_CASCADE`.
+FUZZ_PGM = save_pgm(GrayImage(
+    np.random.default_rng(8).integers(0, 256, size=(24, 32), dtype=np.uint8)))
+
+
 @pytest.fixture(scope="module")
 def fuzz_scene(tmp_path_factory):
-    pixels = np.random.default_rng(8).integers(0, 256, size=(24, 32), dtype=np.uint8)
     path = tmp_path_factory.mktemp("scene") / "scene.pgm"
-    path.write_bytes(save_pgm(GrayImage(pixels)))
+    path.write_bytes(FUZZ_PGM)
     return path
 
 
@@ -593,6 +597,50 @@ def test_detect_cascade_reader_fuzz(data, fuzz_scene, tmp_path_factory):
     (work / "c.json").write_bytes(data)
     exits_cleanly(["detect", str(fuzz_scene), str(work / "c.json")],
                   work / "d.csv")
+
+
+@st.composite
+def mutated_pgms(draw) -> bytes:
+    """`FUZZ_PGM` with one header token replaced, deleted or truncated."""
+    magic, dims, maxval, pixels = FUZZ_PGM.split(b"\n", 3)
+    tokens = [magic, *dims.split(), maxval]
+    i = draw(st.integers(0, len(tokens) - 1))
+    how = draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if how == "replace":
+        tokens[i] = draw(st.binary(max_size=8) | st.sampled_from(
+            [b"+40", b"2_0", b"-1", b"0", b"0008", b"99999999", b"65535", b"#"]))
+    elif how == "delete":
+        del tokens[i]
+    else:
+        tokens[i] = tokens[i][:draw(st.integers(0, len(tokens[i]) - 1))]
+    return b" ".join(tokens) + b"\n" + pixels
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), mutated_pgms()))
+def test_detect_pgm_reader_fuzz(data, tmp_path_factory):
+    """Any bytes, and a valid PGM with one header token replaced, deleted or
+    truncated, as the `detect` image: it exits cleanly."""
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "img.pgm").write_bytes(data)
+    (work / "c.json").write_text(json.dumps(FUZZ_CASCADE))
+    exits_cleanly(["detect", str(work / "img.pgm"), str(work / "c.json")],
+                  work / "d.csv")
+
+
+@pytest.mark.parametrize("field", [b"+40", b"2_0"])
+def test_detect_rejects_pgm_header_field_int_would_take(field, tmp_path, capsys):
+    """int() reads b"+40" as 40 and b"2_0" as 20; as PGM header fields they
+    exit 3 with one line."""
+    image = tmp_path / "img.pgm"
+    image.write_bytes(b"P5 " + field + b" " + field + b" 255\n" + bytes(40 * 40))
+    (tmp_path / "c.json").write_text(json.dumps(FUZZ_CASCADE))
+    rc = main(["detect", str(image), str(tmp_path / "c.json"),
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {image}: non-numeric header field {field!r}\n")
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("weight", [10 ** 30, 10 ** 400], ids=["1e30", "1e400"])

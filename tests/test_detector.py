@@ -1,15 +1,22 @@
 import math
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_probe_cascade, random_image
-from trapnode.cascade import Cascade, HaarFeature, Stage, WeakClassifier, eval_window
-from trapnode.detector import (BudgetTooSmall, PyramidConfig, ScratchBudget,
-                               build_pyramid, detect, plan_tiles, pyramid_dims,
-                               scan_tile)
+from trapnode.cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
+                              eval_window, load_cascade)
+from trapnode.detector import (BudgetTooSmall, Detection, PyramidConfig,
+                               ScratchBudget, _group_by_iou, build_pyramid,
+                               detect, plan_tiles, pyramid_dims, scan_tile)
+from trapnode.evaluator import iou
 from trapnode.imaging import GrayImage
 from trapnode.integral import Rect, build_integral
+from trapnode.synthetic import synth_scene
+
+BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
 
 
 def accept_all_cascade() -> Cascade:
@@ -174,6 +181,23 @@ def test_detect_worker_count_invariance():
     assert a == b == c
 
 
+def test_detect_scans_every_tile_in_the_calling_thread(monkeypatch):
+    import trapnode.detector as detector
+
+    threads = []
+
+    def recording_scan_tile(c, tile_pixels, step=1):
+        threads.append(threading.current_thread())
+        return scan_tile(c, tile_pixels, step)
+
+    monkeypatch.setattr(detector, "scan_tile", recording_scan_tile)
+    img = random_image(np.random.default_rng(47), 150, 120)
+    detect(img, make_probe_cascade(seed=5), cfg=PyramidConfig(num_levels=3),
+           budget=ScratchBudget(bytes=30_000), workers=8)
+    assert len(threads) > 3
+    assert all(t is threading.main_thread() for t in threads)
+
+
 def test_detect_coordinate_mapping():
     cascade = make_probe_cascade(seed=2)
     rng = np.random.default_rng(36)
@@ -310,6 +334,63 @@ def test_detect_group_iou_filter():
     for i, a in enumerate(dets):
         for b in dets[i + 1:]:
             assert iou(a.bbox, b.bbox) < 0.3
+
+
+def group_by_iou_referee(dets: list[Detection], thr: float) -> list[Detection]:
+    """Greedy grouping over `Detection` objects, in (level, y, x) order: keep
+    the highest-scoring box, drop everything that overlaps it by >= thr,
+    repeat. The referee for `detector._group_by_iou`."""
+    remaining = sorted(dets, key=lambda d: (-d.score, d.level, d.bbox.y, d.bbox.x))
+    kept: list[Detection] = []
+    while remaining:
+        best = remaining.pop(0)
+        kept.append(best)
+        remaining = [d for d in remaining if iou(best.bbox, d.bbox) < thr]
+    return sorted(kept, key=lambda d: (d.level, d.bbox.y, d.bbox.x))
+
+
+def group_by_iou_columns(dets: list[Detection], thr: float) -> list[Detection]:
+    rows = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.level, d.score)
+                     for d in dets], dtype=np.float64).reshape(-1, 5)
+    return [dets[i] for i in _group_by_iou(rows, thr)]
+
+
+def random_detections(rng: np.random.Generator, n: int,
+                      tied: bool) -> list[Detection]:
+    """`n` overlapping boxes over four levels, one side per level as `detect`
+    gives them, in `detect`'s (level, y, x) order."""
+    sides = (20, 22, 24, 27)
+    dets = []
+    for _ in range(n):
+        lvl = int(rng.integers(0, len(sides)))
+        score = float(rng.integers(-2, 3)) * 0.25 if tied else float(rng.normal())
+        dets.append(Detection(Rect(int(rng.integers(0, 40)), int(rng.integers(0, 40)),
+                                   sides[lvl], sides[lvl]), lvl, score))
+    return sorted(dets, key=lambda d: (d.level, d.bbox.y, d.bbox.x))
+
+
+@pytest.mark.parametrize("thr", [0.01, 0.3, 0.5, 1.0])
+def test_group_by_iou_matches_list_referee(thr):
+    rng = np.random.default_rng(48)
+    assert group_by_iou_columns([], thr) == []
+    for n in (1, 2, 7, 40, 150):
+        for tied in (True, False):
+            dets = random_detections(rng, n, tied)
+            assert group_by_iou_columns(dets, thr) == group_by_iou_referee(dets, thr)
+
+
+def test_group_by_iou_matches_list_referee_on_bench_cascade():
+    cascade = load_cascade(BENCH_CASCADE)
+    rng = np.random.default_rng(49)
+    for moths in ([22, 27], [25, 21, 29], [20, 24, 26, 28]):
+        img, _ = synth_scene(320, 240, moths, rng, clutter=True)
+        dets = detect(img, cascade, workers=1)
+        assert len(dets) > 200
+        for thr in (0.01, 0.3, 0.5, 1.0):
+            expected = group_by_iou_referee(dets, thr)
+            assert group_by_iou_columns(dets, thr) == expected
+        assert detect(img, cascade, workers=1, group_iou=0.3) == \
+            group_by_iou_referee(dets, 0.3)
 
 
 @pytest.mark.parametrize("group_iou", [0.0, -1.0, 1.5, math.nan])

@@ -43,6 +43,14 @@ def test_load_pgm_malformed():
         load_pgm(b"P5\n2 2")
 
 
+def test_load_pgm_header_fields_are_ascii_digits():
+    # int() alone reads b"+2" as 2 and b"0_2" as 2.
+    for field in (b"+2", b"0_2", b"-2", "\uff12".encode(), b"9" * 5000):
+        with pytest.raises(MalformedHeader, match="non-numeric header field"):
+            load_pgm(b"P5\n" + field + b" 2\n255\n" + bytes(4))
+    assert load_pgm(b"P5\n002 2\n255\n" + bytes(4)).width == 2
+
+
 def test_320x240_payload_is_76800_pixels():
     # 320x240 8-bit occupies exactly 76800 bytes
     payload = bytes(range(256)) * 300
