@@ -1,5 +1,6 @@
 """Scratchpad-budgeted tiling: why a 99.6 kB L1 budget turns a 320x240
-integral image into 100x240 tiles, and why tiling never changes the output.
+integral image into 100x240 tiles, and why tiling never changes the output,
+at any scan step.
 """
 
 import numpy as np
@@ -39,3 +40,12 @@ print(f"tiled scan:   {len(tiled)} detections (budget 99.6 kB, {len(tiles)} tile
       "at level 0, scanned one after another)")
 print(f"untiled scan: {len(untiled)} detections (whole level per tile)")
 print("identical output:", tiled == untiled)
+
+# At a step above 1 each tile scans the origins it owns on the level's own
+# lattice, not a lattice shifted to the tile's origin.
+for step in (2, 3):
+    tiled = detect(scene, cascade, cfg=cfg, budget=budget, step=step)
+    untiled = detect(scene, cascade, cfg=cfg, budget=ScratchBudget(bytes=10 ** 9),
+                     step=step)
+    print(f"step {step}: {len(tiled)} tiled, {len(untiled)} untiled detections, "
+          f"identical: {tiled == untiled}")

@@ -19,21 +19,22 @@ import json
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cascade import CascadeFormatError, load_cascade, save_cascade
-from .cnngraph import (SHIPPED_GRAPH, Layer, LayerGraph, count_macs_total,
+from .cascade import load_cascade, save_cascade
+from .cnngraph import (SHIPPED_GRAPH, LayerGraph, count_macs_total,
                        count_params_total, graph_from_json, load_graph)
 from .detector import (BudgetTooSmall, Detection, PyramidConfig, ScratchBudget,
                        detect)
 from .evaluator import match_by_image
-from .imaging import GrayImage, PgmError, load_pgm, save_pgm
+from .imaging import GrayImage, load_pgm, save_pgm
 from .integral import Rect
-from .mcu import (ComputeEngine, MemoryTier, PlatformModel,
-                  UnknownPlatform, builtin_platform, platform_from_json)
+from .mcu import (PlatformModel, UnknownPlatform, builtin_platform,
+                  platform_from_json)
 from .power import (BLOCK_WAKES, POLICIES, Battery, DutyCycleConfig,
                     PhaseEnergy, daily_energy, gap9_viola_energy, lifetime,
                     simulate, wake_cycle_energy)
@@ -68,13 +69,28 @@ def manifest_lines(command: str, params: dict, inputs: dict[str, Path],
     return lines
 
 
-def _read_image(path: Path) -> GrayImage:
+@contextlib.contextmanager
+def _reading(path: Path, what: str):
+    """The context an input file named on the command line is read and
+    parsed in. Each way that fails becomes one input error naming `path`:
+    a missing path or a directory, any other read error, malformed JSON
+    (bad syntax, or nesting too deep for the parser), and any value the
+    reader rejects with a ValueError."""
     try:
-        return load_pgm(path.read_bytes())
-    except FileNotFoundError:
-        raise InputError(f"image not found: {path}") from None
-    except PgmError as exc:
+        yield
+    except (FileNotFoundError, IsADirectoryError):
+        raise InputError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: malformed JSON ({exc})") from None
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _read_image(path: Path) -> GrayImage:
+    with _reading(path, "image"):
+        return load_pgm(path.read_bytes())
 
 
 def _require_finite(what: str, value) -> None:
@@ -82,60 +98,57 @@ def _require_finite(what: str, value) -> None:
         raise InputError(f"{what} must be a finite number, got {value}")
 
 
-# The JSON types of the scalar field annotations of models read from files.
-JSON_TYPES = {"str": str, "bool": bool, "dict": dict, "int": int, "float": (int, float)}
+@functools.cache  # one resolution per dataclass; hints never change
+def _field_types(model) -> dict[str, tuple[object, bool]]:
+    """Each field of dataclass `model`: its resolved type, and whether a file
+    must give it (it has no default)."""
+    hints = typing.get_type_hints(model)
+    return {f.name: (hints[f.name], f.default is dataclasses.MISSING)
+            for f in dataclasses.fields(model)}
 
 
-def _check_json(path: Path, what: str, value, kind, nested=()) -> None:
-    """Check `value`, at `what` in the JSON file `path`, against `kind`: a
-    dataclass (or one in `nested`) takes an object with its fields, a tuple or
-    frozenset a list, an int an integer and a float a finite number. An error
+def _check_json(what: str, value, kind) -> None:
+    """Check `value`, read from JSON at `what`, against the type `kind`: a
+    dataclass takes an object with its fields, a tuple or frozenset a list,
+    an int an integer and a float a finite number. The ValueError raised
     names the first bad key."""
-    kind = next((m for m in nested if m.__name__ == kind), kind)
     if dataclasses.is_dataclass(kind):
         if not isinstance(value, dict):
-            raise InputError(f"{path}: {what} must be a JSON object")
-        fields = {f.name: f for f in dataclasses.fields(kind)}
+            raise ValueError(f"{what} must be a JSON object")
+        fields = _field_types(kind)
         for key in value:
             if key not in fields:
-                raise InputError(f"{path}: unknown key {what}.{key}")
-        for name, field in fields.items():
+                raise ValueError(f"unknown key {what}.{key}")
+        for name, (hint, required) in fields.items():
             if name in value:
-                _check_json(path, f"{what}.{name}", value[name], field.type, nested)
-            elif field.default is dataclasses.MISSING:
-                raise InputError(f"{path}: {what}.{name} is missing")
+                _check_json(f"{what}.{name}", value[name], hint)
+            elif required:
+                raise ValueError(f"{what}.{name} is missing")
         return
-    container, _, items = kind.partition("[")
-    kinds = items[:-1].split(", ")
-    fixed = container == "tuple" and kinds[-1] != "..."
+    items = typing.get_args(kind)
     if items:
-        if not isinstance(value, list) or fixed and len(value) != len(kinds):
-            raise InputError(f"{path}: {what} must be a list ({kind}), got {value!r}")
+        fixed = typing.get_origin(kind) is tuple and items[-1] is not Ellipsis
+        if not isinstance(value, list) or fixed and len(value) != len(items):
+            raise ValueError(f"{what} must be a list ({kind}), got {value!r}")
         for i, item in enumerate(value):
-            _check_json(path, f"{what}[{i}]", item, kinds[i if fixed else 0], nested)
-    elif (isinstance(value, bool) != (kind == "bool")
-          or not isinstance(value, JSON_TYPES[kind])):
-        raise InputError(f"{path}: {what} must be {kind}, got {value!r}")
-    elif kind in ("int", "float") and not abs(value) <= sys.float_info.max:
-        raise InputError(f"{path}: {what} must be a finite number, got {value}")
+            _check_json(f"{what}[{i}]", item, items[i if fixed else 0])
+    elif (isinstance(value, bool) != (kind is bool)
+          or not isinstance(value, (int, float) if kind is float else kind)):
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    elif kind in (int, float) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {value}")
 
 
-def _load_checked(path: Path, where: str, model, nested, from_json):
+def _load_checked(path: Path, what: str, model, from_json):
     """A graph or platform from a file named on the command line, its fields
     checked first. A device file's `calibrated` notes are not fields."""
-    try:
+    with _reading(path, what):
         text = path.read_text(encoding="ascii")
         doc = json.loads(text)
         if isinstance(doc, dict):
             doc.pop("calibrated", None)
-        _check_json(path, where, doc, model, nested)
+        _check_json(what, doc, model)
         return from_json(text)
-    except FileNotFoundError:
-        raise InputError(f"{where} not found: {path}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: malformed JSON ({exc})") from None
-    except ValueError as exc:  # a value the model rejects
-        raise InputError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -172,12 +185,8 @@ def cmd_detect(args) -> int:
     _require_finite("--scale-factor", args.scale_factor)
     _require_finite("--group-iou", args.group_iou)
     img = _read_image(image_path)
-    try:
+    with _reading(cascade_path, "cascade"):
         cascade = load_cascade(cascade_path)
-    except FileNotFoundError:
-        raise InputError(f"cascade not found: {cascade_path}") from None
-    except CascadeFormatError as exc:
-        raise InputError(f"{cascade_path}: {exc}") from None
 
     cfg = PyramidConfig(scale_factor=args.scale_factor, num_levels=args.scales,
                         max_detection_px=args.max_side)
@@ -256,11 +265,10 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------ eval --
 
 def _parse_box_file(path: Path, with_score: bool):
-    if not path.is_file():
-        raise InputError(f"file not found: {path}")
     by_image: dict[str, list] = {}
     # Bytes past ASCII decode to lone surrogates, which split no line.
-    text = path.read_bytes().decode("ascii", errors="surrogateescape")
+    with _reading(path, "file"):
+        text = path.read_bytes().decode("ascii", errors="surrogateescape")
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.isascii():
             raise InputError(f"{path}:{lineno}: not ASCII text")
@@ -327,7 +335,7 @@ def _resolve_platform(spec: str):
     for c in candidates:
         if c.is_file():
             return _load_checked(
-                c, "platform", PlatformModel, (MemoryTier, ComputeEngine),
+                c, "platform", PlatformModel,
                 lambda text: require_routable(platform_from_json(text)))
     raise InputError(f"unknown platform {spec!r} (no builtin, file, or "
                      "TRAPNODE_PLATFORM_PATH match)")
@@ -355,8 +363,7 @@ def _latency_lines(schedule, report) -> list[str]:
 def cmd_cnn(args) -> int:
     graph_path = Path(args.graph)
     graph = (load_graph(graph_path) if graph_path == SHIPPED_GRAPH  # trusted
-             else _load_checked(graph_path, "graph", LayerGraph, (Layer,),
-                                graph_from_json))
+             else _load_checked(graph_path, "graph", LayerGraph, graph_from_json))
     platform = _resolve_platform(args.platform)
 
     params = {
@@ -408,12 +415,8 @@ SCENARIO_SECTIONS = {"phase_energy": PhaseEnergy, "duty_cycle": DutyCycleConfig,
 def _read_trace(path: Path) -> list[float]:
     """Arrival times in seconds, whitespace-separated; each must be a finite
     number, and none may precede the one before it."""
-    if not path.is_file():
-        raise InputError(f"trace file not found: {path}")
-    try:
+    with _reading(path, "trace file"):
         text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from None
     trace = []
     for lineno, line in enumerate(text.splitlines(), 1):
         for token in line.split():
@@ -436,19 +439,15 @@ def _scenario_from_args(args):
         _require_finite("--" + name.replace("_", "-"), value)
     if args.scenario:
         path = Path(args.scenario)
-        if not path.is_file():
-            raise InputError(f"scenario file not found: {path}")
-        try:
+        with _reading(path, "scenario file"):
             doc = json.loads(path.read_text(encoding="ascii"))
-        except ValueError as exc:  # bad encoding, syntax or number
-            raise InputError(f"{path}: malformed JSON ({exc})") from None
-        if not isinstance(doc, dict):
-            raise InputError(f"{path}: a scenario must be a JSON object")
-        for section in doc:
-            if section not in SCENARIO_SECTIONS:
-                raise InputError(f"{path}: unknown section {section!r}")
-        for section, model in SCENARIO_SECTIONS.items():
-            _check_json(path, section, doc.get(section, {}), model)
+            if not isinstance(doc, dict):
+                raise ValueError("a scenario must be a JSON object")
+            for section in doc:
+                if section not in SCENARIO_SECTIONS:
+                    raise ValueError(f"unknown section {section!r}")
+            for section, model in SCENARIO_SECTIONS.items():
+                _check_json(section, doc.get(section, {}), model)
         return tuple(model(**doc.get(section, {}))
                      for section, model in SCENARIO_SECTIONS.items())
     pe = PhaseEnergy(compute_mj=args.compute_mj, camera_mj=args.camera_mj,
@@ -469,6 +468,7 @@ def cmd_power(args) -> int:
     pe, cfg, batt = _scenario_from_args(args)
     # Finite capacity and voltage can still multiply past the float range.
     _require_finite("battery energy in joules", batt.energy_j)
+    trace = _read_trace(Path(args.simulate)) if args.simulate else None
     params = {
         "wake_period": cfg.wake_period_s, "policy": cfg.payload_policy,
         "compute_mj": pe.compute_mj, "overhead_mj": pe.wake_overhead_mj,
@@ -483,7 +483,6 @@ def cmd_power(args) -> int:
     lines = manifest_lines("power", params, inputs)
 
     if args.simulate:
-        trace = _read_trace(Path(args.simulate))
         result = simulate(pe, cfg, batt, trace, args.horizon_days)
         lines.append("t_s,new_detections,wake_mj,battery_j_left")
         summary = [f"# days_simulated={result.days_simulated:.6f}",

@@ -145,6 +145,8 @@ class LayerGraph:
     def __post_init__(self):
         if self.element_bytes < 1:
             raise GraphError("element_bytes must be >= 1")
+        if any(d < 1 for d in self.input_shape):
+            raise ShapeMismatch(f"empty input {self.input_shape}")
         shapes: dict[str, tuple[int, int, int]] = {"input": self.input_shape}
         for layer in self.layers:
             if layer.name in shapes:

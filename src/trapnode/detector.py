@@ -1,8 +1,8 @@
 """Multi-scale detection pipeline: pyramid, scratchpad-budgeted tiling,
 window scan, coordinate remapping, dedup, and size filtering.
 
-Each tile is scanned by `cascade.eval_lattice`, which scores all of a
-tile's windows at the scan step: the variance norms and stage 0 on strided
+Each tile is scanned by `cascade.eval_lattice`, which scores the windows
+the tile owns at the scan step: the variance norms and stage 0 on strided
 views of the tile's integral planes, the later stages on the survivors from
 corner offsets compiled once per cascade stage. Every level's tiles are
 planned from `pyramid_dims` and validated before any scan; the pyramid is
@@ -212,13 +212,20 @@ def scan_tile(c: Cascade, tile_pixels: GrayImage, step: int = 1) -> np.ndarray:
 
 def _scan_level_tile(cascade: Cascade, level_img: GrayImage, tile: TileSpec,
                      step: int) -> np.ndarray:
-    """Level-raster (x, y, margin) rows of a tile's hits inside its core."""
-    sub = GrayImage(level_img.pixels[tile.y : tile.y + tile.h, tile.x : tile.x + tile.w])
-    hits = scan_tile(cascade, sub, step)
-    hits[:, :2] += (tile.x, tile.y)
-    x, y, core = hits[:, 0], hits[:, 1], tile.core
-    return hits[(core.x <= x) & (x < core.x + core.w)
-                & (core.y <= y) & (y < core.y + core.h)]
+    """Level-raster (x, y, margin) rows of a tile's hits at the window
+    origins it owns: those of its core on the level's lattice of pitch
+    `step`. The block scanned starts at the first of them and ends a window
+    past the core's end, inside the tile since `plan_tiles` holds the
+    overlap to at least the window size - 1."""
+    core = tile.core
+    x0, y0 = -(-core.x // step) * step, -(-core.y // step) * step
+    x1 = min(core.x + core.w + cascade.window_w - 1, tile.x + tile.w)
+    y1 = min(core.y + core.h + cascade.window_h - 1, tile.y + tile.h)
+    if x1 - x0 < cascade.window_w or y1 - y0 < cascade.window_h:
+        return np.empty((0, 3))
+    hits = scan_tile(cascade, GrayImage(level_img.pixels[y0:y1, x0:x1]), step)
+    hits[:, :2] += (x0, y0)
+    return hits
 
 
 def _group_by_iou(rows: np.ndarray, thr: float) -> np.ndarray:
@@ -254,12 +261,13 @@ def detect(img: GrayImage, c: Cascade,
     """Full pipeline: pyramid -> tiles -> scan -> remap -> filter.
 
     Levels whose box side exceeds max_detection_px are planned but not
-    scanned. Hits are kept only when their origin falls in the emitting
-    tile's core region, mapped back to original coordinates by the level
-    scale factor (floor(v * f + 0.5), clipped to the image), and sorted
-    stably by (level, y, x). Every tile is scanned in the calling thread;
-    `workers` must be >= 1 and changes neither the output nor the thread
-    count.
+    scanned. Each tile scans only the window origins of its core region
+    that lie on the level's lattice of pitch `step`, so the hits, and the
+    output, do not depend on the tiling at any step. Hits are mapped back to
+    original coordinates by the level scale factor (floor(v * f + 0.5),
+    clipped to the image) and sorted stably by (level, y, x). Every tile is
+    scanned in the calling thread; `workers` must be >= 1 and changes
+    neither the output nor the thread count.
 
     `group_iou` optionally merges mutually-overlapping detections across the
     whole output, keeping the highest score per group (off by default).
@@ -268,6 +276,8 @@ def detect(img: GrayImage, c: Cascade,
     budget = budget or ScratchBudget()
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if step < 1:
+        raise ValueError("step must be >= 1")
     if group_iou is not None and not 0.0 < group_iou <= 1.0:
         raise ValueError(f"group_iou must be in (0, 1], got {group_iou}")
 

@@ -1,7 +1,8 @@
 """8-bit grayscale images: container, binary PGM I/O, sensor noise, downscaling.
 
-Images are immutable after construction and safe to share between worker
-threads. All operations are pure functions of their inputs.
+Images are immutable after construction: the pixel array is marked
+read-only, so a slice taken of an image (a scan block, pyramid level 0)
+cannot change it. All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ class TruncatedData(PgmError):
 class GrayImage:
     """Row-major 8-bit grayscale raster.
 
-    `pixels` is a (height, width) uint8 array; it is marked read-only so a
-    GrayImage can be handed to concurrent scanners without copies.
+    `pixels` is a (height, width) uint8 array. It is marked read-only, so a
+    GrayImage built on a view of another's pixels (a tile, a scan block)
+    shares them without a copy, and neither can be written through.
     """
 
     pixels: np.ndarray

@@ -62,6 +62,8 @@ class ComputeEngine:
             raise ValueError("depthwise_derate must be in (0, 1]")
         if not (0.0 < self.utilization_std <= 1.0 and 0.0 < self.utilization_dw <= 1.0):
             raise ValueError("utilizations must be in (0, 1]")
+        if self.elementwise_bytes_per_cycle <= 0:
+            raise ValueError("elementwise_bytes_per_cycle must be positive")
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,9 @@ class DutyCycleConfig:
             raise ValueError("wake period must exceed the active duration")
         if self.counter_payload_bytes <= 0 or self.image_payload_bytes <= 0:
             raise ValueError("payload sizes must be positive")
+        for f in ("detections_per_day", "sleep_power_uw"):
+            if getattr(self, f) < 0:
+                raise ValueError(f"{f} must be non-negative")
 
     @property
     def wakes_per_day(self) -> float:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier, eval_grid,
-                      eval_lattice, score_stage)
+from .cascade import (Cascade, HaarFeature, Stage, WeakClassifier, _grid_result,
+                      _norms, _score_sparse, eval_grid, eval_lattice, score_stage)
 from .detector import PyramidConfig, build_pyramid
 from .imaging import GrayImage, downscale
 from .integral import Rect, _padded_prefix_sums, build_integral
@@ -181,12 +181,9 @@ class WindowStack:
         self.plane = _padded_prefix_sums(windows).reshape(n, -1)
         self.origins = np.arange(n) * self.plane.shape[1]
         if variance_normalization:
-            area = h * w
-            s1 = self.plane[:, -1]
             px = windows.reshape(n, -1).astype(np.float64)
-            s2 = np.einsum("ij,ij->i", px, px)
-            var = s2 / area - (s1 / area) ** 2
-            self.norms = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0)
+            self.norms = _norms(self.plane[:, -1], np.einsum("ij,ij->i", px, px),
+                                h * w)
         else:
             self.norms = np.ones(n, dtype=np.float64)
 
@@ -214,15 +211,12 @@ class WindowStack:
 
     def cascade_pass(self, stages) -> np.ndarray:
         """Mask of the windows that pass every stage; each stage scores only
-        the windows that passed the ones before it."""
-        alive = np.arange(len(self))
-        for stage in stages:
-            if not alive.size:
-                break
-            alive = alive[~(self.stage_scores(stage, alive) < stage.threshold)]
-        passed = np.zeros(len(self), dtype=bool)
-        passed[alive] = True
-        return passed
+        the windows that passed the ones before it, in `eval_grid`'s stage
+        loop."""
+        result = _grid_result(len(self))
+        _score_sparse(stages, 0, self.plane.ravel(), self.width + 1,
+                      np.arange(len(self)), self.origins, self.norms, *result)
+        return result[0]
 
 
 @dataclass(frozen=True)

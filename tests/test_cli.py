@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import copy
 import functools
@@ -440,6 +441,7 @@ def test_power_rejects_bad_trace_line(bad, tmp_path, capsys):
 
 @pytest.mark.parametrize("text,named", [
     ('{"phase_energy": {"compute_mj": 4.61}', "malformed JSON"),
+    pytest.param("[" * 100_000, "malformed JSON", id="nested-too-deeply"),
     ("{}", "phase_energy.compute_mj"),
     ('{"phase_energy": {"bogus": 1}}', "phase_energy.bogus"),
     ('{"phase_energy": {"compute_mj": 4.61}, '
@@ -555,13 +557,14 @@ def json_paths(value, prefix=()):
 
 
 @st.composite
-def mutated_cascades(draw) -> bytes:
-    """`FUZZ_CASCADE` with one value replaced by any JSON value, or deleted."""
-    doc = copy.deepcopy(FUZZ_CASCADE)
+def mutated_docs(draw, doc, values) -> bytes:
+    """The JSON document `doc` with one value replaced by one drawn from
+    `values`, or deleted."""
+    doc = copy.deepcopy(doc)
     *parent, key = draw(st.sampled_from(list(json_paths(doc))))
     holder = functools.reduce(operator.getitem, parent, doc)
     if draw(st.booleans()):
-        holder[key] = draw(JSON_VALUES)
+        holder[key] = draw(values)
     else:
         del holder[key]
     return json.dumps(doc).encode()
@@ -589,7 +592,7 @@ def test_fuzz_cascade_is_valid(fuzz_scene, tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(data=st.one_of(st.binary(max_size=200),
                       JSON_VALUES.map(lambda v: json.dumps(v).encode()),
-                      mutated_cascades()))
+                      mutated_docs(FUZZ_CASCADE, JSON_VALUES)))
 def test_detect_cascade_reader_fuzz(data, fuzz_scene, tmp_path_factory):
     """Any bytes, any JSON value and a valid cascade with one value changed
     or deleted, as a cascade file: `detect` exits cleanly."""
@@ -721,11 +724,16 @@ def gap9_with(**fields) -> str:
 
 RELU = {"name": "r", "op_kind": "relu", "inputs": ["input"],
         "in_shape": [1, 4, 4], "out_shape": [1, 4, 4]}
+# A padded 1x1 conv that reads an input raster of height 0.
+CONV_ON_EMPTY = {"name": "c", "op_kind": "conv2d", "inputs": ["input"],
+                 "in_shape": [1, 0, 4], "out_shape": [1, 2, 6], "padding": 1,
+                 "param_count": 2}
 
 
 @pytest.mark.parametrize("flag,body,named", [
     pytest.param("--graph", "{bad", "malformed JSON", id="--graph"),
     pytest.param("--platform", "{bad", "malformed JSON", id="--platform"),
+    pytest.param("--graph", "[" * 100_000, "malformed JSON", id="--graph-deep"),
     pytest.param("--graph", "{}", "graph.name is missing", id="--graph-empty"),
     pytest.param("--graph", "[]", "graph must be a JSON object",
                  id="--graph-list"),
@@ -753,6 +761,12 @@ RELU = {"name": "r", "op_kind": "relu", "inputs": ["input"],
         "name": "g", "input_shape": [1, 4, 4],
         "layers": [{**RELU, "out_shape": [1, 0, 4]}]}),
         "layer r: empty output", id="--graph-value"),
+    pytest.param("--graph", json.dumps({
+        "name": "g", "input_shape": [1, 0, 4], "layers": [CONV_ON_EMPTY]}),
+        "empty input (1, 0, 4)", id="--graph-empty-input"),
+    pytest.param("--platform", gap9_with(engines=[
+        {**e, "elementwise_bytes_per_cycle": 0} for e in GAP9["engines"]]),
+        "elementwise_bytes_per_cycle must be positive", id="--platform-elementwise"),
 ])
 def test_cnn_rejects_malformed_json_file(flag, body, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -773,3 +787,98 @@ def test_cnn_rejects_data_file_that_is_not_a_platform(name, tmp_path, capsys):
     assert rc == 3
     assert err.startswith("error: unknown platform") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
+
+
+# Each input file a command reads, as (argument name, the name of it in a
+# "not found" error).
+INPUT_FILES = [("image", "image"), ("cascade", "cascade"), ("graph", "graph"),
+               ("predictions", "file"), ("trace", "trace file"),
+               ("scenario", "scenario file")]
+
+
+def reading(name: str, path: Path, scene: Path, tmp_path: Path) -> list[str]:
+    """A command that reads `path` as its input file `name`; its other
+    inputs are valid."""
+    (tmp_path / "c.json").write_text(json.dumps(FUZZ_CASCADE))
+    return {"image": ["detect", str(path), str(tmp_path / "c.json")],
+            "cascade": ["detect", str(scene), str(path)],
+            "graph": ["cnn", "--graph", str(path)],
+            "predictions": ["eval", str(path), eval_inputs(tmp_path)[1]],
+            "trace": ["power", "--simulate", str(path), "--horizon-days", "1"],
+            "scenario": ["power", "--scenario", str(path)]}[name]
+
+
+@pytest.mark.parametrize("name,what", INPUT_FILES)
+@pytest.mark.parametrize("how", ["directory", "unreadable"])
+def test_unusable_input_file(how, name, what, fuzz_scene, tmp_path, capsys,
+                             monkeypatch):
+    """A directory given as an input file exits 3 as a missing file does,
+    and a file that cannot be read (every open of it raises PermissionError
+    here) exits 3 naming it; neither writes a report."""
+    path = tmp_path / "input"
+    if how == "directory":
+        path.mkdir()
+        expected = f"error: {what} not found: {path}\n"
+    else:
+        path.write_text("")
+        expected = f"error: cannot read {path}: Permission denied\n"
+        real_open = io.open
+
+        def open_denying_path(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", open_denying_path)
+        monkeypatch.setattr(builtins, "open", open_denying_path)
+    rc = main(reading(name, path, fuzz_scene, tmp_path)
+              + ["--out", str(tmp_path / "r.out")])
+    assert rc == 3
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "r.out").exists()
+
+
+# The values a fuzzed model file gets in place of one of its own: each other
+# JSON type, zero, negative, the largest and the smallest positive float, and
+# an integer no float64 holds exactly.
+MODEL_VALUES = st.sampled_from([None, True, "x", [], {}, 0, -1, 1e308, 5e-324,
+                                10 ** 30])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([
+    ("cnn", "--graph", "mbnv3_ssdlite_320x240.json"),
+    ("cnn", "--platform", "gap8.json"), ("cnn", "--platform", "gap9.json"),
+    ("power", "--scenario", "scenario_gap9_viola_low.json"),
+    ("power", "--scenario", "scenario_gap9_viola_high.json"),
+    ("power", "--scenario", "scenario_gap9_cnn_high_images.json")]),
+    data=st.data())
+def test_model_file_reader_fuzz(case, data, tmp_path_factory):
+    """A shipped graph, platform or scenario file with one key dropped or
+    one value replaced, as `cnn --graph`, `cnn --platform` or
+    `power --scenario`: it exits cleanly."""
+    command, flag, name = case
+    doc = json.loads((DATA / name).read_text())
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / name).write_bytes(data.draw(mutated_docs(doc, MODEL_VALUES)))
+    exits_cleanly([command, flag, str(work / name)], work / "r.out")
+
+
+@pytest.mark.parametrize("key,flag,value", [
+    ("sleep_power_uw", "--sleep-uw", -10.0),
+    ("detections_per_day", "--detections-per-day", -0.5)])
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_power_rejects_negative_duty_cycle_values(source, key, flag, value,
+                                                  tmp_path, capsys):
+    """A negative sleep power or detection rate exits 4 with one line, as a
+    negative phase energy does, from a flag or from a scenario file."""
+    argv = ["power", "--policy", "image_per_detection", flag, str(value)]
+    if source == "scenario":
+        doc = json.loads((DATA / "scenario_gap9_viola_low.json").read_text())
+        doc["duty_cycle"].update({"payload_policy": "image_per_detection", key: value})
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        argv = ["power", "--scenario", str(tmp_path / "s.json")]
+    rc = main(argv + ["--out", str(tmp_path / "p.csv")])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error: {key} must be non-negative\n"
+    assert not (tmp_path / "p.csv").exists()

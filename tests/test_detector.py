@@ -316,6 +316,23 @@ def test_detect_tiled_equals_untiled():
         assert tiled == untiled
 
 
+@pytest.mark.parametrize("overlap", [19, 20, 23])
+@pytest.mark.parametrize("step", [2, 3])
+def test_detect_tiled_equals_untiled_at_every_step(step, overlap):
+    """Criterion 01 at a scan step above 1: each tile scans the origins it
+    owns on the level's lattice, so tiled and untiled output agree."""
+    rng = np.random.default_rng(10 * step + overlap)
+    cascade = make_probe_cascade(seed=5)
+    for _ in range(4):
+        img = random_image(rng, int(rng.integers(64, 128)),
+                           int(rng.integers(64, 128)))
+        budget = ScratchBudget(bytes=int(rng.integers(4 * 24 * 24, 20_000)))
+        tiled = detect(img, cascade, budget=budget, overlap=overlap, step=step)
+        untiled = detect(img, cascade, budget=ScratchBudget(bytes=10**9),
+                         overlap=overlap, step=step)
+        assert tiled == untiled
+
+
 def test_detect_output_sorted():
     rng = np.random.default_rng(40)
     cascade = make_probe_cascade(seed=5)

@@ -154,6 +154,10 @@ def test_config_validation():
         DutyCycleConfig(payload_policy="carrier_pigeon")
     with pytest.raises(ValueError):
         PhaseEnergy(compute_mj=-1.0)
+    with pytest.raises(ValueError, match="sleep_power_uw"):
+        DutyCycleConfig(sleep_power_uw=-1.0)
+    with pytest.raises(ValueError, match="detections_per_day"):
+        DutyCycleConfig(detections_per_day=-0.5)
     with pytest.raises(ValueError):
         Battery(capacity_mah=0.0)
 
