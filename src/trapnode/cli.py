@@ -71,18 +71,17 @@ def manifest_lines(command: str, params: dict, inputs: dict[str, Path],
 
 @contextlib.contextmanager
 def _reading(path: Path, what: str):
-    """The context an input file named on the command line is read and
-    parsed in. Each way that fails becomes one input error naming `path`:
-    a missing path or a directory, any other read error, malformed JSON
-    (bad syntax, or nesting too deep for the parser), and any value the
-    reader rejects with a ValueError."""
+    """The context each input file named on the command line is read and
+    parsed in. Each failure becomes one input error naming `path`: a missing
+    path or a directory, any other read error, malformed JSON (bad syntax or
+    encoding, or too deeply nested), and any ValueError the reader raises."""
     try:
         yield
     except (FileNotFoundError, IsADirectoryError):
         raise InputError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: malformed JSON ({exc})") from None
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -415,8 +414,9 @@ SCENARIO_SECTIONS = {"phase_energy": PhaseEnergy, "duty_cycle": DutyCycleConfig,
 def _read_trace(path: Path) -> list[float]:
     """Arrival times in seconds, whitespace-separated; each must be a finite
     number, and none may precede the one before it."""
+    # Bytes past ASCII decode to lone surrogates, which no float parses.
     with _reading(path, "trace file"):
-        text = path.read_text()
+        text = path.read_bytes().decode("ascii", errors="surrogateescape")
     trace = []
     for lineno, line in enumerate(text.splitlines(), 1):
         for token in line.split():
@@ -448,8 +448,8 @@ def _scenario_from_args(args):
                     raise ValueError(f"unknown section {section!r}")
             for section, model in SCENARIO_SECTIONS.items():
                 _check_json(section, doc.get(section, {}), model)
-        return tuple(model(**doc.get(section, {}))
-                     for section, model in SCENARIO_SECTIONS.items())
+            return tuple(model(**doc.get(section, {}))
+                         for section, model in SCENARIO_SECTIONS.items())
     pe = PhaseEnergy(compute_mj=args.compute_mj, camera_mj=args.camera_mj,
                      tx_mj_per_byte=args.tx_mj_per_byte,
                      wake_overhead_mj=args.wake_overhead_mj)

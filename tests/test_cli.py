@@ -439,9 +439,23 @@ def test_power_rejects_bad_trace_line(bad, tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_power_rejects_non_ascii_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes("3600\n7200\u00e9\n".encode("utf-8"))
+    rc = main(["power", "--simulate", str(trace), "--horizon-days", "1",
+               "--out", str(tmp_path / "sim.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: {trace}:2: arrival time must be a finite")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "sim.csv").exists()
+
+
 @pytest.mark.parametrize("text,named", [
     ('{"phase_energy": {"compute_mj": 4.61}', "malformed JSON"),
     pytest.param("[" * 100_000, "malformed JSON", id="nested-too-deeply"),
+    pytest.param('{"phase_energy": {"compute_mj": 4.61}, "\u00e9": 1}',
+                 "malformed JSON", id="non-ascii"),
     ("{}", "phase_energy.compute_mj"),
     ('{"phase_energy": {"bogus": 1}}', "phase_energy.bogus"),
     ('{"phase_energy": {"compute_mj": 4.61}, '
@@ -450,7 +464,7 @@ def test_power_rejects_bad_trace_line(bad, tmp_path, capsys):
 ])
 def test_power_rejects_bad_scenario(text, named, tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(text)
+    scenario.write_text(text, encoding="utf-8")
     rc = main(["power", "--scenario", str(scenario),
                "--out", str(tmp_path / "p.csv")])
     err = capsys.readouterr().err
@@ -734,6 +748,8 @@ CONV_ON_EMPTY = {"name": "c", "op_kind": "conv2d", "inputs": ["input"],
     pytest.param("--graph", "{bad", "malformed JSON", id="--graph"),
     pytest.param("--platform", "{bad", "malformed JSON", id="--platform"),
     pytest.param("--graph", "[" * 100_000, "malformed JSON", id="--graph-deep"),
+    pytest.param("--graph", '{"name": "g\u00e9"}', "malformed JSON",
+                 id="--graph-non-ascii"),
     pytest.param("--graph", "{}", "graph.name is missing", id="--graph-empty"),
     pytest.param("--graph", "[]", "graph must be a JSON object",
                  id="--graph-list"),
@@ -770,7 +786,7 @@ CONV_ON_EMPTY = {"name": "c", "op_kind": "conv2d", "inputs": ["input"],
 ])
 def test_cnn_rejects_malformed_json_file(flag, body, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(body)
+    bad.write_text(body, encoding="utf-8")
     rc = main(["cnn", flag, str(bad), "--out", str(tmp_path / "r.csv")])
     err = capsys.readouterr().err
     assert rc == 3
@@ -822,15 +838,19 @@ def test_unusable_input_file(how, name, what, fuzz_scene, tmp_path, capsys,
     else:
         path.write_text("")
         expected = f"error: cannot read {path}: Permission denied\n"
-        real_open = io.open
 
-        def open_denying_path(file, *args, **kwargs):
-            if str(file) == str(path):
-                raise PermissionError(13, "Permission denied", str(file))
-            return real_open(file, *args, **kwargs)
+        def denying(real_open):
+            def open_unless_path(file, *args, **kwargs):
+                if str(file) == str(path):
+                    raise PermissionError(13, "Permission denied", str(file))
+                return real_open(file, *args, **kwargs)
+            return open_unless_path
 
-        monkeypatch.setattr(io, "open", open_denying_path)
-        monkeypatch.setattr(builtins, "open", open_denying_path)
+        # Path.read_bytes and read_text go through Path.open, which on
+        # Python 3.10 holds its own reference to io.open; load_cascade
+        # calls the builtin open.
+        monkeypatch.setattr(Path, "open", denying(Path.open))
+        monkeypatch.setattr(builtins, "open", denying(builtins.open))
     rc = main(reading(name, path, fuzz_scene, tmp_path)
               + ["--out", str(tmp_path / "r.out")])
     assert rc == 3
@@ -870,8 +890,9 @@ def test_model_file_reader_fuzz(case, data, tmp_path_factory):
 @pytest.mark.parametrize("source", ["flag", "scenario"])
 def test_power_rejects_negative_duty_cycle_values(source, key, flag, value,
                                                   tmp_path, capsys):
-    """A negative sleep power or detection rate exits 4 with one line, as a
-    negative phase energy does, from a flag or from a scenario file."""
+    """A negative sleep power or detection rate exits with one line: 4
+    from a flag, as a negative phase energy does, and 3 naming the file from
+    a scenario file, as any value a model file's reader rejects does."""
     argv = ["power", "--policy", "image_per_detection", flag, str(value)]
     if source == "scenario":
         doc = json.loads((DATA / "scenario_gap9_viola_low.json").read_text())
@@ -879,6 +900,11 @@ def test_power_rejects_negative_duty_cycle_values(source, key, flag, value,
         (tmp_path / "s.json").write_text(json.dumps(doc))
         argv = ["power", "--scenario", str(tmp_path / "s.json")]
     rc = main(argv + ["--out", str(tmp_path / "p.csv")])
-    assert rc == 4
-    assert capsys.readouterr().err == f"error: {key} must be non-negative\n"
+    expected = f"{key} must be non-negative"
+    if source == "scenario":
+        assert rc == 3
+        expected = f"{tmp_path / 's.json'}: {expected}"
+    else:
+        assert rc == 4
+    assert capsys.readouterr().err == f"error: {expected}\n"
     assert not (tmp_path / "p.csv").exists()
