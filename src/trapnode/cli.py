@@ -144,7 +144,7 @@ def _load_checked(path: Path, what: str, model, from_json):
     with _reading(path, what):
         text = path.read_text(encoding="ascii")
         doc = json.loads(text)
-        if isinstance(doc, dict):
+        if isinstance(doc, dict) and model is PlatformModel:
             doc.pop("calibrated", None)
         _check_json(what, doc, model)
         return from_json(text)
@@ -181,8 +181,6 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_detect(args) -> int:
     image_path = Path(args.image)
     cascade_path = Path(args.cascade)
-    _require_finite("--scale-factor", args.scale_factor)
-    _require_finite("--group-iou", args.group_iou)
     img = _read_image(image_path)
     with _reading(cascade_path, "cascade"):
         cascade = load_cascade(cascade_path)
@@ -294,7 +292,6 @@ def _parse_box_file(path: Path, with_score: bool):
 
 
 def cmd_eval(args) -> int:
-    _require_finite("--iou", args.iou)
     pred_path = Path(args.predictions)
     gt_path = Path(args.ground_truth)
     preds = _parse_box_file(pred_path, with_score=True)
@@ -435,8 +432,6 @@ def _read_trace(path: Path) -> list[float]:
 
 
 def _scenario_from_args(args):
-    for name, value in vars(args).items():  # every float flag must be finite
-        _require_finite("--" + name.replace("_", "-"), value)
     if args.scenario:
         path = Path(args.scenario)
         with _reading(path, "scenario file"):
@@ -662,6 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():  # every float flag must be finite
+            _require_finite("--" + name.replace("_", "-"), value)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,22 +224,14 @@ def graph_to_json(graph: LayerGraph) -> str:
 
 
 def graph_from_json(text: str) -> LayerGraph:
+    """The graph a `graph_to_json` document describes; a key it leaves out
+    takes the dataclass default."""
+    def tuples(d: dict) -> dict:
+        return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+
     doc = json.loads(text)
-    layers = tuple(
-        Layer(
-            name=l["name"], op_kind=l["op_kind"], inputs=tuple(l["inputs"]),
-            in_shape=tuple(l["in_shape"]), out_shape=tuple(l["out_shape"]),
-            kernel=tuple(l.get("kernel", (1, 1))), stride=l.get("stride", 1),
-            padding=l.get("padding", 0), groups=l.get("groups", 1),
-            param_count=l.get("param_count", 0),
-            elementwise=l.get("elementwise", False),
-        )
-        for l in doc["layers"]
-    )
-    return LayerGraph(
-        name=doc["name"], input_shape=tuple(doc["input_shape"]),
-        layers=layers, element_bytes=doc.get("element_bytes", 1),
-    )
+    doc["layers"] = [Layer(**tuples(l)) for l in doc["layers"]]
+    return LayerGraph(**tuples(doc))
 
 
 def load_graph(path) -> LayerGraph:

@@ -9,7 +9,7 @@ farthest ahead moves to external RAM (Belady's rule, ties to the larger
 name); an output that still does not fit spills there. An output whose only
 consumer is the next, elementwise, layer stays in L1. A layer reads a tensor
 from external RAM once it was evicted at an earlier layer, else from the tier
-it was placed in; the transfer class, the reported input home and
+it was placed in; the latency estimate, the reported input home and
 `Schedule.home_at` all apply that one rule. Per-layer weights prefetch
 FLASH->L2 when the residual L2 budget allows, else stream from FLASH. Each
 layer gets an L1 tile plan (output row bands times output-channel slices)
@@ -19,8 +19,11 @@ Transfers route through the hierarchy (external memory reaches L1 via L2).
 An external input fetched in a single spatial pass is a contiguous 1D
 stream; one fetched in several row-band passes is a strided 2D pattern
 billed one 1D copy per channel row-chunk, which is where the per-row DMA
-overhead bites. Layer cost is compute + transfer, or max of the two when
-DMA double-buffering is enabled on both the platform and the run config.
+overhead bites. A layer's transfer class is read off that bill: `ext_2d` if
+any of its operand fetches or its writeback crossed external RAM split into
+rows, `ext_1d` if each that crossed was one contiguous copy, else
+`l2_resident`. Layer cost is compute + transfer, or max of the two when DMA
+double-buffering is enabled on both the platform and the run config.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .mcu import PlatformModel, transfer_cycles
 
 TRANSFER_CLASSES = ("l2_resident", "ext_1d", "ext_2d")
 ROUTED_TIERS = ("l1", "l2", "ext_ram", "flash")
+_EXTERNAL = ("ext_ram", "flash")  # tiers reached through L2
 
 
 class L1PlanError(ValueError):
@@ -69,7 +73,6 @@ class LayerPlacement:
     weight_home: str    # "l2" (prefetched) or "flash" (streamed per tile)
     input_home: str
     output_home: str
-    transfer_class: str
     tile: TilePlan
     fused_input: str | None = None  # operand consumed in-flight from the
                                     # producing layer's L1 tile (elementwise
@@ -258,18 +261,10 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
         weight_home = "l2" if wbytes and used("l2") + wbytes <= l2_cap else "flash"
         tile = _plan_l1_tile(layer, eb, l1_cap)
 
-        in_homes = [_read_home(homes, evictions, s, i) for s in layer.inputs]
-        out_home = homes[layer.name]
-        if "ext_ram" not in in_homes and out_home != "ext_ram":
-            tclass = "l2_resident"
-        elif tile.spatial_passes == 1 and tile.cout_passes == 1:
-            tclass = "ext_1d"
-        else:
-            tclass = "ext_2d"
         placements.append(LayerPlacement(
             name=layer.name, weight_home=weight_home,
-            input_home=in_homes[0], output_home=out_home,
-            transfer_class=tclass, tile=tile, fused_input=fused_input,
+            input_home=_read_home(homes, evictions, layer.inputs[0], i),
+            output_home=homes[layer.name], tile=tile, fused_input=fused_input,
         ))
         for tensors in live.values():
             for name in [t for t in tensors if dies[t] <= i]:
@@ -279,30 +274,30 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
                     evictions)
 
 
-def _fetch_cycles(platform: PlatformModel, home: str, nbytes: int,
-                  rows: int) -> float:
-    """Move one operand from its home tier into L1.
+def _dma(platform: PlatformModel, src: str, dst: str, nbytes: int,
+         rows: int = 1) -> tuple[float, int]:
+    """Cycles to move `nbytes` from tier `src` to tier `dst`, and the copies
+    billed on the external hop (0 if there is none).
 
-    External operands hop through L2 (IO-DMA, then cluster DMA); both hops
-    cross the shared L2 port, so their costs add. Operands already chained
-    through the L1 tile pipeline (home "l1") cost nothing.
+    An external tier reaches L1 through L2 (IO-DMA, then cluster DMA), and the
+    two hops' costs add: both cross the shared L2 port. The external hop moves `rows` equal copies, the
+    bytes padded to whole rows. An operand already at `dst` costs nothing.
     """
-    if nbytes <= 0 or home == "l1":
-        return 0.0
-    if home in ("ext_ram", "flash"):
-        return (transfer_cycles(platform, home, "l2", nbytes, rows=rows)
-                + transfer_cycles(platform, "l2", "l1", nbytes, rows=1))
-    return transfer_cycles(platform, home, "l1", nbytes, rows=1)
-
-
-def _writeback_cycles(platform: PlatformModel, home: str, nbytes: int,
-                      rows: int) -> float:
-    if nbytes <= 0 or home == "l1":
-        return 0.0
-    if home == "ext_ram":
-        return (transfer_cycles(platform, "l1", "l2", nbytes, rows=1)
-                + transfer_cycles(platform, "l2", "ext_ram", nbytes, rows=rows))
-    return transfer_cycles(platform, "l1", home, nbytes, rows=1)
+    if nbytes <= 0 or src == dst:
+        return 0.0, 0
+    if src not in _EXTERNAL and dst not in _EXTERNAL:
+        return transfer_cycles(platform, src, dst, nbytes, rows=1), 0
+    rows = min(rows, nbytes)
+    nbytes += -nbytes % rows  # pad to whole rows
+    if src in _EXTERNAL:
+        cycles = transfer_cycles(platform, src, "l2", nbytes, rows=rows)
+        if dst != "l2":
+            cycles += transfer_cycles(platform, "l2", dst, nbytes, rows=1)
+    else:
+        cycles = transfer_cycles(platform, "l2", dst, nbytes, rows=rows)
+        if src != "l2":
+            cycles += transfer_cycles(platform, src, "l2", nbytes, rows=1)
+    return cycles, rows
 
 
 def _layer_compute_cycles(layer: Layer, platform: PlatformModel,
@@ -344,77 +339,57 @@ def estimate_latency(schedule: Schedule, graph: LayerGraph,
 
         tile = p.tile
         transfer = 0.0
+        copies = [0]  # external-RAM copies of each operand fetch and writeback
         if i in evict_bytes:  # one-time L2 -> ext move that made room
-            transfer += transfer_cycles(platform, "l2", "ext_ram",
-                                        evict_bytes[i], rows=1)
-        if p.fused_input is None:
-            # Loop order per layer is whichever re-fetches fewer bytes:
-            # input-stationary (weights re-stream once per spatial pass) or
-            # weight-stationary (input re-streams once per channel pass).
-            # Depthwise channels partition, so nothing re-fetches there.
-            wbytes = _weight_bytes(layer, eb)
-            if layer.op_kind == "depthwise_conv2d":
-                in_refetch, w_refetch = 1, 1
-            elif layer.op_kind in CONV_KINDS:
-                in_stationary = wbytes * (tile.spatial_passes - 1)
-                w_stationary = sum(
-                    graph.tensor_bytes(shapes[s]) for s in layer.inputs
-                ) * (tile.cout_passes - 1)
-                if in_stationary <= w_stationary:
-                    in_refetch, w_refetch = 1, tile.spatial_passes
-                else:
-                    in_refetch, w_refetch = tile.cout_passes, 1
+            transfer += _dma(platform, "l2", "ext_ram", evict_bytes[i])[0]
+
+        # Loop order per layer is whichever re-fetches fewer bytes:
+        # input-stationary (weights re-stream once per spatial pass) or
+        # weight-stationary (input re-streams once per channel pass).
+        # Depthwise channels partition, so nothing re-fetches there.
+        wbytes = _weight_bytes(layer, eb)
+        in_refetch, w_refetch = 1, 1
+        if layer.op_kind in CONV_KINDS and layer.op_kind != "depthwise_conv2d":
+            in_stationary = wbytes * (tile.spatial_passes - 1)
+            w_stationary = sum(
+                graph.tensor_bytes(shapes[s]) for s in layer.inputs
+            ) * (tile.cout_passes - 1)
+            if in_stationary <= w_stationary:
+                w_refetch = tile.spatial_passes
             else:
-                in_refetch, w_refetch = 1, 1
+                in_refetch = tile.cout_passes
 
-            for src in layer.inputs:
-                if src == p.fused_input:
-                    continue
-                c, h, w = shapes[src]
-                base = c * h * w * eb
-                if layer.op_kind in CONV_KINDS:
-                    halo = max(_halo_rows(layer, tile.rows) * tile.spatial_passes - h, 0)
-                    fetch_bytes = (base + c * halo * w * eb) * in_refetch
-                else:
-                    fetch_bytes = base
-                home = schedule.home_at(src, i)
-                strided = tile.spatial_passes > 1 or in_refetch > 1
-                rows = c * tile.spatial_passes * in_refetch if (
-                    home in ("ext_ram", "flash") and strided) else 1
-                rows = min(rows, fetch_bytes)
-                if fetch_bytes % rows:
-                    fetch_bytes += rows - fetch_bytes % rows  # pad to whole rows
-                transfer += _fetch_cycles(platform, home, fetch_bytes, rows)
+        for src in layer.inputs:
+            if src == p.fused_input:  # read from the producer's L1 tile
+                continue
+            c, h, w = shapes[src]
+            fetch_bytes = c * h * w * eb
+            if layer.op_kind in CONV_KINDS:
+                halo = max(_halo_rows(layer, tile.rows) * tile.spatial_passes - h, 0)
+                fetch_bytes = (fetch_bytes + c * halo * w * eb) * in_refetch
+            strided = tile.spatial_passes > 1 or in_refetch > 1
+            cycles, n = _dma(platform, schedule.home_at(src, i), "l1", fetch_bytes,
+                             c * tile.spatial_passes * in_refetch if strided else 1)
+            transfer += cycles
+            copies.append(n)
 
-            if wbytes:
-                total_w = wbytes * w_refetch
-                if p.weight_home == "l2":
-                    transfer += transfer_cycles(platform, "flash", "l2", wbytes, rows=1)
-                    transfer += transfer_cycles(platform, "l2", "l1", total_w, rows=1)
-                else:
-                    transfer += _fetch_cycles(platform, "flash", total_w, rows=1)
+        if wbytes:
+            if p.weight_home == "l2":
+                transfer += _dma(platform, "flash", "l2", wbytes)[0]
+            transfer += _dma(platform, p.weight_home, "l1", wbytes * w_refetch)[0]
 
-            out_bytes = graph.tensor_bytes(layer.out_shape)
-            out_home = schedule.tensor_homes[layer.name]
-            out_rows = (layer.out_shape[0] * tile.spatial_passes
-                        if out_home == "ext_ram" and tile.spatial_passes > 1 else 1)
-            out_rows = min(out_rows, out_bytes)
-            if out_bytes % out_rows:
-                out_bytes += out_rows - out_bytes % out_rows
-            transfer += _writeback_cycles(platform, out_home, out_bytes, out_rows)
-        else:
-            # Runs on the producer's L1 tile before writeback; any second
-            # operand (residual input) still has to be brought in.
-            for src in layer.inputs:
-                if src == p.fused_input:
-                    continue
-                transfer += _fetch_cycles(
-                    platform, schedule.home_at(src, i),
-                    graph.tensor_bytes(shapes[src]), rows=1,
-                )
+        if p.fused_input is None:  # a fused layer's output stays in its tile
+            cycles, n = _dma(platform, "l1", schedule.tensor_homes[layer.name],
+                             graph.tensor_bytes(layer.out_shape),
+                             layer.out_shape[0] * tile.spatial_passes
+                             if tile.spatial_passes > 1 else 1)
+            transfer += cycles
+            copies.append(n)
 
+        # No external copy, each one contiguous, or some split into rows.
+        tclass = TRANSFER_CLASSES[min(max(copies), 2)]
         total = max(compute, transfer) if overlap else compute + transfer
-        costs.append(LayerCost(layer.name, p.transfer_class, compute, transfer, total))
+        costs.append(LayerCost(layer.name, tclass, compute, transfer, total))
 
     class_cycles = {c: 0.0 for c in TRANSFER_CLASSES}
     class_transfer = {c: 0.0 for c in TRANSFER_CLASSES}

@@ -211,10 +211,10 @@ def test_cnn_rejects_bad_compare_budgets(pairs, bad, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,digest", [
-    pytest.param([], "476acddb605700013d521e5682d33c40"
-                     "433850934cd119f675915551532e6301", id="default"),
-    pytest.param(["--l2", "267000"], "6c1622c1e753ae93a28b1aa4f41a4985"
-                 "e593b68d33d9055a4be6af6b4ca5db12", id="l2-267000"),
+    pytest.param([], "1cb061332f35ee2e9d687008e1ac648c"
+                     "958ed470a1238b7b747485703f967472", id="default"),
+    pytest.param(["--l2", "267000"], "4ce043f33b929fca68518015c9c93c18"
+                 "b0e1cb128cc8842e0f2fcdf99893d69e", id="l2-267000"),
 ])
 def test_cnn_report_pinned(argv, digest, tmp_path):
     """The default report (nothing evicted) and one whose L2 budget forces
@@ -345,6 +345,20 @@ def test_detect_rejects_non_finite_flags(flag, value, workdir, capsys):
     assert rc == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--min-detection-rate", "--max-fp-rate",
+                                  "--feature-subsample"])
+def test_train_rejects_non_finite_flags(flag, value, workdir, tmp_path, capsys):
+    out = tmp_path / "cascade.json"
+    rc = main(["train", str(workdir / "corpus" / "positives"),
+               str(workdir / "corpus" / "negatives"), f"{flag}={value}",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"error: {flag} must be a finite number, got {float(value)}\n"
     assert not out.exists()
 
 
@@ -757,6 +771,10 @@ CONV_ON_EMPTY = {"name": "c", "op_kind": "conv2d", "inputs": ["input"],
         "name": "g", "input_shape": [1, 4, 4],
         "layers": [{**RELU, "param_count": "x"}]}),
         "graph.layers[0].param_count must be int", id="--graph-field"),
+    pytest.param("--graph", json.dumps({
+        "name": "g", "input_shape": [1, 4, 4], "layers": [RELU],
+        "calibrated": {}}),
+        "unknown key graph.calibrated", id="--graph-calibrated"),
     pytest.param("--platform", "{}", "platform.name is missing",
                  id="--platform-empty"),
     pytest.param("--platform", "[]", "platform must be a JSON object",

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -59,8 +61,10 @@ def chain_graph(channels=(8, 8, 8), hw=20, k=3):
 def test_everything_fits_l2_all_resident():
     g = chain_graph()
     p = make_platform()
-    schedule = plan_schedule(g, p, BudgetConfig(l1_bytes=50_000, l2_bytes=1_000_000))
-    assert all(pl.transfer_class == "l2_resident" for pl in schedule.placements)
+    budget = BudgetConfig(l1_bytes=50_000, l2_bytes=1_000_000)
+    schedule = plan_schedule(g, p, budget)
+    report = estimate_latency(schedule, g, p, budget)
+    assert all(c.transfer_class == "l2_resident" for c in report.layers)
     assert schedule.peak_ext_bytes == 0
 
 
@@ -70,7 +74,8 @@ def test_oversized_tensor_spills_to_ext():
     budget = BudgetConfig(l1_bytes=30_000, l2_bytes=50_000)
     schedule = plan_schedule(g, p, budget)
     assert schedule.tensor_homes["c1"] == "ext_ram"
-    consumer = schedule.placement("c2")
+    consumer = estimate_latency(schedule, g, p, budget).layers[1]
+    assert consumer.name == "c2"
     assert consumer.transfer_class in ("ext_1d", "ext_2d")
     assert schedule.peak_ext_bytes >= 64 * 40 * 40
 
@@ -211,9 +216,10 @@ def test_2d_transfer_penalty_by_construction():
     sched = plan_schedule(g, p_no, budget)
     assert sched.tensor_homes["input"] == "ext_ram"
     consumer = sched.placement("c1")
-    assert consumer.transfer_class == "ext_2d"
+    cost = estimate_latency(sched, g, p_no, budget).layers[0]
+    assert cost.transfer_class == "ext_2d"
     rows = 64 * consumer.tile.spatial_passes
-    base = estimate_latency(sched, g, p_no, budget).layers[0].transfer_cycles
+    base = cost.transfer_cycles
 
     # overhead sized so rows * overhead = 3.6x the ext payload cycles
     ext_payload = g.tensor_bytes(g.input_shape) / 1.0
@@ -285,3 +291,57 @@ def test_input_home_follows_evictions():
         assert p.input_home == schedule.home_at(layer.inputs[0], i)
         read_evicted += schedule.evictions.get(layer.inputs[0], i) < i
     assert read_evicted
+
+
+def test_depthwise_read_from_ext_in_one_spatial_pass_is_ext_1d():
+    """A depthwise layer whose input lives in external RAM, tiled into
+    channel slices that each cover every row, fetches one contiguous copy
+    per slice: `ext_1d`, however many channel passes it takes."""
+    dw = Layer("d", "depthwise_conv2d", ("input",), (64, 16, 16), (64, 16, 16),
+               kernel=(3, 3), padding=1, groups=64,
+               param_count=conv_param_count((3, 3), 64, 64, 64))
+    g = LayerGraph("dw", (64, 16, 16), (dw,))
+    p = make_platform(ext_overhead=5.0)
+    budget = BudgetConfig(l1_bytes=5_000, l2_bytes=10_000)
+    schedule = plan_schedule(g, p, budget)
+    placement = schedule.placement("d")
+    assert placement.input_home == "ext_ram"
+    assert placement.tile.spatial_passes == 1 and placement.tile.cout_passes > 1
+    assert estimate_latency(schedule, g, p, budget).layers[0].transfer_class == "ext_1d"
+
+
+def test_fused_layer_billed_no_external_copy_is_l2_resident():
+    """An activation fused onto its producer's L1 tile is billed no fetch and
+    no writeback, so it is `l2_resident` even though its output's home is
+    external RAM."""
+    conv = Layer("c", "pointwise_conv2d", ("input",), (1, 16, 16), (64, 16, 16),
+                 param_count=conv_param_count((1, 1), 1, 64, 1))
+    act = Layer("r", "relu", ("c",), (64, 16, 16), (64, 16, 16), elementwise=True)
+    g = LayerGraph("fused", (1, 16, 16), (conv, act))
+    p = make_platform()
+    budget = BudgetConfig(l1_bytes=2_000, l2_bytes=10_000)
+    schedule = plan_schedule(g, p, budget)
+    assert schedule.placement("r").fused_input == "c"
+    assert schedule.tensor_homes["r"] == "ext_ram"
+    cost = estimate_latency(schedule, g, p, budget).layers[1]
+    assert cost.transfer_cycles == 0
+    assert cost.transfer_class == "l2_resident"
+
+
+def test_node_sweep_cycles_pinned():
+    """Per-layer compute, transfer and total cycles of the shipped graph over
+    the 96 platform/engine/L1/L2/overlap points of the `node` design sweep,
+    pinned by sha-256 of their exact float reprs."""
+    g = load_graph(SHIPPED_GRAPH)
+    digest = hashlib.sha256()
+    for name, engines in (("gap9", ("conv_accelerator", "worker_cores")),
+                          ("gap8", ("worker_cores",))):
+        p = builtin_platform(name)
+        for engine, l1, l2, overlap in itertools.product(
+                engines, (46_700, 64_000, 90_000, 115_600),
+                (267_000, 512_000, 800_000, 1_200_000), (True, False)):
+            for c in run_model(g, p, BudgetConfig(l1, l2, engine, overlap)).layers:
+                digest.update(f"{c.name},{c.compute_cycles!r},{c.transfer_cycles!r},"
+                              f"{c.total_cycles!r}\n".encode())
+    assert digest.hexdigest() == ("4f385c6c99d7798f6a64ad680bb897a2"
+                                  "b3a81439151a01b9fd8d4e88e1e1dd3f")
