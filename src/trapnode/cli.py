@@ -459,6 +459,73 @@ def _scenario_from_args(args):
     return pe, cfg, batt
 
 
+# A `power --simulate` report row, and the decimals of its four columns.
+_SIM_ROW = "%.3f,%d,%.6f,%.6f\n"
+_SIM_DECIMALS = (3, 0, 6, 6)
+# Below 2**52 `np.rint` is exact, a float sits on a half-integer only when
+# its fraction is exactly 0.5, and every integer has at most 16 digits.
+_EXACT = 2.0 ** 52
+_VELTKAMP = 2.0 ** 27 + 1  # splits a float into two 26-bit halves
+
+
+def _fixed_point(x: np.ndarray, decimals: int) -> np.ndarray | None:
+    """x * 10**decimals as int64, rounded half to even on the exact product,
+    as `%.*f` rounds; an integer column is taken as it is. None unless every
+    value is non-negative, has no sign bit and scales below 2**52."""
+    if x.dtype.kind != "f":
+        return x if x.min(initial=0) >= 0 and x.max(initial=0) < _EXACT else None
+    scale = 10.0 ** decimals
+    with np.errstate(over="ignore"):  # an overflowed product is out of range
+        hi = x * scale
+    if np.signbit(x).any() or not (hi < _EXACT).all():
+        return None
+    n = np.rint(hi)
+    # Only a product rounded onto a half-integer can round the other way:
+    # Dekker's product gives its exact rest x * scale - hi. The scale has
+    # fewer than 27 significant bits, so the products with it are exact.
+    tie = np.flatnonzero(np.abs(hi - n) == 0.5)
+    if tie.size:
+        t, h = x[tie], hi[tie]
+        split = t * _VELTKAMP
+        top = split - (split - t)
+        rest = (t - top) * scale - (h - top * scale)
+        d = h - n[tie]
+        n[tie] += np.sign(d) * (d * rest > 0)
+    return n.astype(np.int64)
+
+
+def _sim_rows(columns) -> str:
+    """`_SIM_ROW % row` for each row of the timeline columns, joined. Each
+    value is scaled to an exact integer whose digits are spelled in numpy;
+    a block holding any value outside that range is formatted by `%`."""
+    fields = [_fixed_point(c, p) for c, p in zip(columns, _SIM_DECIMALS)]
+    if any(f is None for f in fields) or not len(fields[0]):
+        return "".join(map(_SIM_ROW.__mod__, zip(*(c.tolist() for c in columns))))
+    # One byte row per character position of a report row, one column per
+    # report row; a leading zero is a NUL byte, deleted once transposed.
+    widths = [max(len(str(f.max())), p + 1) for f, p in zip(fields, _SIM_DECIMALS)]
+    text = np.empty((sum(widths) + 7, len(fields[0])), np.uint8)
+    pos = len(text)
+    for f, p, width, sep in zip(fields[::-1], _SIM_DECIMALS[::-1], widths[::-1],
+                                b"\n,,,"):
+        pos -= 1
+        text[pos] = sep
+        least = f.min()
+        for k in range(width):  # digit k counts from the last
+            if k == p and p:
+                pos -= 1
+                text[pos] = ord(".")
+            if k % 8 == 0:  # the last eight digits, then the first eight
+                c = (f // 10 ** 8 if k else f % 10 ** 8).astype(np.uint32)
+            q = c // np.uint32(10)
+            pos -= 1
+            np.add(c - q * np.uint32(10), ord("0"), out=text[pos], casting="unsafe")
+            if k > p and least < 10 ** k:  # a leading zero becomes NUL
+                text[pos] *= f >= 10 ** k
+            c = q
+    return text.T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def cmd_power(args) -> int:
     pe, cfg, batt = _scenario_from_args(args)
     # Finite capacity and voltage can still multiply past the float range.
@@ -489,12 +556,10 @@ def cmd_power(args) -> int:
         # The rows are written a block at a time, never held as one string.
         tl = result.timeline
         columns = (tl.t_s, tl.new_detections, tl.wake_mj, tl.battery_j_left)
-        row = "%.3f,%d,%.6f,%.6f\n".__mod__
         with _report(args.out) as fh:
             fh.write("\n".join(lines) + "\n")
             for i in range(0, len(tl), BLOCK_WAKES):
-                block = (c[i:i + BLOCK_WAKES].tolist() for c in columns)
-                fh.write("".join(map(row, zip(*block))))
+                fh.write(_sim_rows([c[i:i + BLOCK_WAKES] for c in columns]))
             fh.write("\n".join(summary) + "\n")
         return 0
 

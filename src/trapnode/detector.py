@@ -60,6 +60,12 @@ class ScratchBudget:
     ii_only charges 4 B/px (the MCU's uint32 tile integral image, not the
     host's float64 plane); ii_plus_input adds the 1 B/px input tile;
     ii_plus_input_plus_squares also charges the 8 B/px squared-sum plane.
+
+    Modelling assumption: the default ii_only leaves out the squared-sum
+    plane that a variance-normalised cascade needs, so it charges less than
+    such a cascade holds. The acceptance plan of full-height 100-px tiles
+    on a 320x240 frame at the 99,600 B default (criterion 04:
+    100 x 240 x 4 = 96,000 B) rests on that mode.
     """
 
     bytes: int = 99_600

@@ -155,30 +155,24 @@ def _plan_l1_tile(layer: Layer, element_bytes: int, l1_bytes: int) -> TilePlan:
 
     kh, kw = layer.kernel
     per_cout_weight = kh * kw * (cin // layer.groups) * element_bytes + element_bytes
-
-    def fits(rows: int, m: int) -> bool:
-        in_rows = min(_halo_rows(layer, rows), hin)
-        cin_slice = m if layer.op_kind == "depthwise_conv2d" else cin
-        in_bytes = cin_slice * in_rows * win * element_bytes
-        out_bytes = m * rows * wout * element_bytes
-        w_bytes = per_cout_weight * m
-        return in_bytes + out_bytes + w_bytes <= l1_bytes
-
+    depthwise = layer.op_kind == "depthwise_conv2d"
     for rows in range(hout, 0, -1):
-        if not fits(rows, 1):
-            continue
-        lo, hi = 1, cout
-        while lo < hi:  # largest feasible channel slice at this row count
-            mid = (lo + hi + 1) // 2
-            if fits(rows, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return TilePlan(
-            rows=rows, cout_slice=lo,
-            spatial_passes=math.ceil(hout / rows),
-            cout_passes=math.ceil(cout / lo),
-        )
+        # At a fixed row count an m-channel slice holds fixed + per_cout * m
+        # bytes of L1, so the widest slice is one division. A depthwise
+        # slice holds only its own input channels.
+        in_channel = min(_halo_rows(layer, rows), hin) * win * element_bytes
+        per_cout = per_cout_weight + rows * wout * element_bytes
+        if depthwise:
+            fixed, per_cout = 0, per_cout + in_channel
+        else:
+            fixed = cin * in_channel
+        m = min(cout, (l1_bytes - fixed) // per_cout)
+        if m >= 1:
+            return TilePlan(
+                rows=rows, cout_slice=m,
+                spatial_passes=math.ceil(hout / rows),
+                cout_passes=math.ceil(cout / m),
+            )
     raise L1PlanError(
         f"layer {layer.name}: even a 1-row, 1-channel tile exceeds "
         f"{l1_bytes} B of L1"

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from trapnode.cli import build_parser, main
+from trapnode.cli import _fixed_point, _sim_rows, build_parser, main
 from trapnode.detector import detect
 from trapnode.imaging import GrayImage, save_pgm
 from trapnode.synthetic import synth_scene
@@ -510,6 +510,101 @@ def test_power_simulate_report_pinned(tmp_path):
     assert out.decode().endswith("# battery_exhausted_at_s=2617470.000\n")
     assert hashlib.sha256(out).hexdigest() == (
         "19c5dde7d33def8af4990498d76e771312ce8769c4d76177c1ac931f6bbea42e")
+
+
+def test_power_simulate_rounding_report_pinned(tmp_path, capsys):
+    """A report whose every column rounds: 7.3 s wakes, image payloads and
+    fractional energies over two row blocks (71,013 wakes), pinned by
+    sha-256. The report on stdout is the same bytes as the file."""
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(f"{997.3 * i:.1f}" for i in range(1, 500)) + "\n")
+    argv = ["power", "--simulate", str(trace), "--horizon-days", "6",
+            "--wake-period", "7.3", "--policy", "image_per_detection",
+            "--compute-mj", "4.617", "--tx-mj-per-byte", "0.0123"]
+    out = run_to_file(argv, tmp_path / "sim.csv")
+    assert b"\n1000.100,1,160.827000,13319.168257\n" in out
+    assert hashlib.sha256(out).hexdigest() == (
+        "768edbaaa8ea19c099d63889e1ef34f085b3584d686888ffa7ea1daab986f66c")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out
+
+
+def _percent_rows(columns) -> str:
+    """The referee for the simulate row writer: Python's `%` formatter."""
+    return "".join("%.3f,%d,%.6f,%.6f\n" % row
+                   for row in zip(*(c.tolist() for c in columns)))
+
+
+def _around(bound):
+    """Floats within a few dozen ulps of `bound`, on both sides."""
+    return st.integers(-40, 40).map(lambda k: bound + k * math.ulp(bound))
+
+
+def _near_tie(k: int, m: int, ulps: int) -> float:
+    """An odd multiple of 2**-m, moved by a few ulps. With m = p + 1 it
+    times 10**p is exactly a half-integer, a tie at p decimals (0.0625 at
+    three)."""
+    tie = (2 * k + 1) / 2 ** m
+    return tie + ulps * math.ulp(tie)
+
+
+# Column values: report-sized, any magnitude, exact ties at 3 and 6
+# decimals, and both sides of the fast path's bound 2**52 / 10**p.
+_SIM_FLOATS = [
+    st.floats(0.0, 1e7),
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.builds(_near_tie, st.integers(0, 2 ** 30), st.sampled_from([4, 7]),
+              st.integers(-3, 3)),
+    _around(2.0 ** 52 / 1e3), _around(2.0 ** 52 / 1e6),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.sampled_from([0, 1, 37]))
+def test_sim_rows_match_percent_formatter(data, n):
+    """The numpy row writer spells every block of 0, 1 or 37 rows as `%`
+    does, row by row, each column drawn from one kind of value."""
+    columns = []
+    for kind in range(4):
+        if kind == 1:
+            elements, dtype = st.one_of(st.integers(0, 99),
+                                        st.integers(-2, 2 ** 53)), np.int64
+        else:
+            elements, dtype = data.draw(st.sampled_from(_SIM_FLOATS)), np.float64
+        columns.append(np.array(data.draw(st.lists(elements, min_size=n, max_size=n)),
+                                dtype=dtype))
+    assert _sim_rows(columns) == _percent_rows(columns)
+
+
+def test_sim_rows_round_products_on_half_integers():
+    """A product that rounds onto a half-integer rounds the way its exact
+    value lies, not to even; an exact tie rounds to even."""
+    columns = [np.array([3377699720527.8726, 3377699720527.8745, 0.0625]),
+               np.array([0, 2 ** 52 - 1, 7]),
+               np.array([3377699720.5278726, 3377699720.5278754, 0.0000025]),
+               np.array([0.1015625, 2.0 ** 52 / 1e6 * (1 - 2 ** -52), 0.5])]
+    assert _sim_rows(columns) == _percent_rows(columns) == (
+        "3377699720527.873,0,3377699720.527873,0.101562\n"
+        "3377699720527.875,4503599627370495,3377699720.527875,4503599627.370495\n"
+        "0.062,7,0.000003,0.500000\n")
+
+
+@pytest.mark.parametrize("value,falls_back", [
+    (0.0, False), (-0.0, True), (math.inf, True), (math.nan, True),
+    (1e300, True), (-1.5, True)])
+@pytest.mark.parametrize("column", [0, 2, 3])
+def test_sim_rows_outside_exact_range(value, falls_back, column, recwarn):
+    """A block holding -0.0, a negative, a non-finite or a huge value falls
+    back to `%`, silently, and writes what `%` writes; 0.0 stays on the
+    fast path."""
+    columns = [np.linspace(0.0, 9.5, 37), np.arange(37), np.full(37, 21.61),
+               np.linspace(13320.0, 13000.0, 37)]
+    columns[column][17] = value
+    decimals = 3 if column == 0 else 6
+    assert (_fixed_point(columns[column], decimals) is None) == falls_back
+    assert _sim_rows(columns) == _percent_rows(columns)
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from trapnode.cnngraph import (SHIPPED_GRAPH, Layer, LayerGraph,
+from trapnode.cnngraph import (CONV_KINDS, SHIPPED_GRAPH, Layer, LayerGraph,
                                conv_param_count, count_macs, load_graph)
 from trapnode.mcu import ComputeEngine, MemoryTier, PlatformModel, builtin_platform
-from trapnode.sched import (BudgetConfig, L1PlanError, compare_budgets,
-                            estimate_latency, plan_schedule, run_model)
+from trapnode.sched import (BudgetConfig, L1PlanError, TilePlan, _halo_rows,
+                            _plan_l1_tile, compare_budgets, estimate_latency,
+                            plan_schedule, run_model)
 
 
 def make_platform(l2_bw=2.0, ext_overhead=0.0, util=1.0, fast=False):
@@ -345,3 +346,64 @@ def test_node_sweep_cycles_pinned():
                               f"{c.total_cycles!r}\n".encode())
     assert digest.hexdigest() == ("4f385c6c99d7798f6a64ad680bb897a2"
                                   "b3a81439151a01b9fd8d4e88e1e1dd3f")
+
+
+def _searched_l1_tile(layer, element_bytes, l1_bytes):
+    """The reference tile plan: the most rows that fit a 1-channel slice,
+    then the widest slice at that row count by binary search over `fits`."""
+    cin, hin, win = layer.in_shape
+    cout, hout, wout = layer.out_shape
+    kh, kw = layer.kernel
+    per_cout_weight = kh * kw * (cin // layer.groups) * element_bytes + element_bytes
+
+    def fits(rows, m):
+        in_rows = min(_halo_rows(layer, rows), hin)
+        cin_slice = m if layer.op_kind == "depthwise_conv2d" else cin
+        return (cin_slice * in_rows * win * element_bytes
+                + m * rows * wout * element_bytes
+                + per_cout_weight * m) <= l1_bytes
+
+    for rows in range(hout, 0, -1):
+        if not fits(rows, 1):
+            continue
+        lo, hi = 1, cout
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if fits(rows, mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return TilePlan(rows=rows, cout_slice=lo, spatial_passes=math.ceil(hout / rows),
+                        cout_passes=math.ceil(cout / lo))
+    return None
+
+
+def test_l1_tile_slice_matches_binary_search():
+    """The closed-form channel slice equals the binary search over `fits`
+    for every conv layer of the shipped graph at the 32 (L1, L2) budgets of
+    the `node` sweep, and on a chain graph down to budgets too small for a
+    1-row, 1-channel tile."""
+    g = load_graph(SHIPPED_GRAPH)
+    convs = [layer for layer in g.layers if layer.op_kind in CONV_KINDS]
+    checked = 0
+    for name in ("gap9", "gap8"):
+        p = builtin_platform(name)
+        for l1, l2 in itertools.product((46_700, 64_000, 90_000, 115_600),
+                                        (267_000, 512_000, 800_000, 1_200_000)):
+            l1_cap = min(BudgetConfig(l1, l2).l1_bytes, p.tier("l1").capacity)
+            for layer in convs:
+                assert (_plan_l1_tile(layer, g.element_bytes, l1_cap)
+                        == _searched_l1_tile(layer, g.element_bytes, l1_cap)), layer.name
+                checked += 1
+    assert checked == 32 * len(convs) > 0
+    dw = Layer("d", "depthwise_conv2d", ("input",), (24, 12, 12), (24, 6, 6),
+               kernel=(3, 3), stride=2, padding=1, groups=24,
+               param_count=conv_param_count((3, 3), 24, 24, 24))
+    for layer in chain_graph(channels=(16, 24, 8), hw=12).layers + (dw,):
+        for l1 in range(0, 4_000, 7):
+            expected = _searched_l1_tile(layer, 1, l1)
+            if expected is None:
+                with pytest.raises(L1PlanError):
+                    _plan_l1_tile(layer, 1, l1)
+            else:
+                assert _plan_l1_tile(layer, 1, l1) == expected
