@@ -462,8 +462,8 @@ def _scenario_from_args(args):
 # A `power --simulate` report row, and the decimals of its four columns.
 _SIM_ROW = "%.3f,%d,%.6f,%.6f\n"
 _SIM_DECIMALS = (3, 0, 6, 6)
-# Below 2**52 `np.rint` is exact, a float sits on a half-integer only when
-# its fraction is exactly 0.5, and every integer has at most 16 digits.
+# Below 2**52 every half-integer is a float, so a product that rounds onto
+# one shows as `|hi - rint(hi)| == 0.5`; every integer has at most 16 digits.
 _EXACT = 2.0 ** 52
 _VELTKAMP = 2.0 ** 27 + 1  # splits a float into two 26-bit halves
 
@@ -501,8 +501,9 @@ def _sim_rows(columns) -> str:
     fields = [_fixed_point(c, p) for c, p in zip(columns, _SIM_DECIMALS)]
     if any(f is None for f in fields) or not len(fields[0]):
         return "".join(map(_SIM_ROW.__mod__, zip(*(c.tolist() for c in columns))))
-    # One byte row per character position of a report row, one column per
-    # report row; a leading zero is a NUL byte, deleted once transposed.
+    # One byte row per character position of a report row (the digits, three
+    # points, three commas and the newline), one column per report row; a
+    # leading zero is a NUL byte, deleted once transposed.
     widths = [max(len(str(f.max())), p + 1) for f, p in zip(fields, _SIM_DECIMALS)]
     text = np.empty((sum(widths) + 7, len(fields[0])), np.uint8)
     pos = len(text)
@@ -512,7 +513,7 @@ def _sim_rows(columns) -> str:
         text[pos] = sep
         least = f.min()
         for k in range(width):  # digit k counts from the last
-            if k == p and p:
+            if p and k == p:
                 pos -= 1
                 text[pos] = ord(".")
             if k % 8 == 0:  # the last eight digits, then the first eight

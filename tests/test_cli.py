@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trapnode.cli import _fixed_point, _sim_rows, build_parser, main
 from trapnode.detector import detect
@@ -513,9 +513,9 @@ def test_power_simulate_report_pinned(tmp_path):
 
 
 def test_power_simulate_rounding_report_pinned(tmp_path, capsys):
-    """A report whose every column rounds: 7.3 s wakes, image payloads and
-    fractional energies over two row blocks (71,013 wakes), pinned by
-    sha-256. The report on stdout is the same bytes as the file."""
+    """A report whose float columns need rounding: 7.3 s wakes, image
+    payloads and fractional energies over two row blocks (71,013 wakes),
+    pinned by sha-256. The report on stdout is the same bytes as the file."""
     trace = tmp_path / "trace.txt"
     trace.write_text("\n".join(f"{997.3 * i:.1f}" for i in range(1, 500)) + "\n")
     argv = ["power", "--simulate", str(trace), "--horizon-days", "6",

@@ -384,18 +384,19 @@ def test_l1_tile_slice_matches_binary_search():
     the `node` sweep, and on a chain graph down to budgets too small for a
     1-row, 1-channel tile."""
     g = load_graph(SHIPPED_GRAPH)
-    convs = [layer for layer in g.layers if layer.op_kind in CONV_KINDS]
     checked = 0
     for name in ("gap9", "gap8"):
         p = builtin_platform(name)
         for l1, l2 in itertools.product((46_700, 64_000, 90_000, 115_600),
                                         (267_000, 512_000, 800_000, 1_200_000)):
-            l1_cap = min(BudgetConfig(l1, l2).l1_bytes, p.tier("l1").capacity)
-            for layer in convs:
-                assert (_plan_l1_tile(layer, g.element_bytes, l1_cap)
-                        == _searched_l1_tile(layer, g.element_bytes, l1_cap)), layer.name
-                checked += 1
-    assert checked == 32 * len(convs) > 0
+            l1_cap = min(l1, p.tier("l1").capacity)
+            schedule = plan_schedule(g, p, BudgetConfig(l1, l2))
+            for layer, placement in zip(g.layers, schedule.placements):
+                if layer.op_kind in CONV_KINDS:
+                    assert placement.tile == _searched_l1_tile(
+                        layer, g.element_bytes, l1_cap), layer.name
+                    checked += 1
+    assert checked == 32 * sum(layer.op_kind in CONV_KINDS for layer in g.layers) > 0
     dw = Layer("d", "depthwise_conv2d", ("input",), (24, 12, 12), (24, 6, 6),
                kernel=(3, 3), stride=2, padding=1, groups=24,
                param_count=conv_param_count((3, 3), 24, 24, 24))
