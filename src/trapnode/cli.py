@@ -507,6 +507,7 @@ def _sim_rows(columns) -> str:
     widths = [max(len(str(f.max())), p + 1) for f, p in zip(fields, _SIM_DECIMALS)]
     text = np.empty((sum(widths) + 7, len(fields[0])), np.uint8)
     pos = len(text)
+    nuls = 0
     for f, p, width, sep in zip(fields[::-1], _SIM_DECIMALS[::-1], widths[::-1],
                                 b"\n,,,"):
         pos -= 1
@@ -522,9 +523,17 @@ def _sim_rows(columns) -> str:
             pos -= 1
             np.add(c - q * np.uint32(10), ord("0"), out=text[pos], casting="unsafe")
             if k > p and least < 10 ** k:  # a leading zero becomes NUL
-                text[pos] *= f >= 10 ** k
+                digit = f >= 10 ** k
+                text[pos] *= digit
+                nuls += len(f) - np.count_nonzero(digit)
             c = q
-    return text.T.tobytes().replace(b"\0", b"").decode("ascii")
+    # `replace` deletes NULs one at a time and `translate` copies every byte
+    # once; on these rows the copy is the faster from about one NUL a row.
+    # No bytes object is bound to a name, so each is freed as soon as the
+    # next exists: holding one cost about 0.9 ms a 65,536-row block.
+    if nuls < len(fields[0]):
+        return text.T.tobytes().replace(b"\0", b"").decode("ascii")
+    return text.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def cmd_power(args) -> int:

@@ -16,6 +16,7 @@ zero-MAC resize from the 320x240 camera raster to the 320x320 input.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -223,9 +224,15 @@ def graph_to_json(graph: LayerGraph) -> str:
     return json.dumps(doc, indent=1)
 
 
+@functools.lru_cache(maxsize=4)
 def graph_from_json(text: str) -> LayerGraph:
     """The graph a `graph_to_json` document describes; a key it leaves out
-    takes the dataclass default."""
+    takes the dataclass default.
+
+    Memoized on the text, so repeat calls in one process parse and validate
+    a graph once. A cached graph can be shared: `LayerGraph` and `Layer` are
+    frozen and hold only tuples. A raised error is never cached, and the
+    bounded size keeps fuzzed texts from growing memory."""
     def tuples(d: dict) -> dict:
         return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 

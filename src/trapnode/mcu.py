@@ -82,21 +82,26 @@ class PlatformModel:
         names = [t.name for t in self.tiers]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tier names in {names}")
+        # Lookup tables for `tier` and `engine`; an engine kind listed twice
+        # resolves to its first entry.
+        object.__setattr__(self, "_tiers", {t.name: t for t in self.tiers})
+        object.__setattr__(self, "_engines",
+                           {e.kind: e for e in reversed(self.engines)})
 
     def tier(self, name: str) -> MemoryTier:
-        for t in self.tiers:
-            if t.name == name:
-                return t
-        raise UnknownTier(f"platform {self.name} has no tier {name!r}")
+        try:
+            return self._tiers[name]
+        except KeyError:
+            raise UnknownTier(f"platform {self.name} has no tier {name!r}") from None
 
     def engine(self, kind: str) -> ComputeEngine:
-        for e in self.engines:
-            if e.kind == kind:
-                return e
-        raise KeyError(f"platform {self.name} has no {kind} engine")
+        try:
+            return self._engines[kind]
+        except KeyError:
+            raise KeyError(f"platform {self.name} has no {kind} engine") from None
 
     def has_engine(self, kind: str) -> bool:
-        return any(e.kind == kind for e in self.engines)
+        return kind in self._engines
 
 
 def transfer_cycles(platform: PlatformModel, tier_from: str, tier_to: str,

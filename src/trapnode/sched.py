@@ -11,9 +11,18 @@ consumer is the next, elementwise, layer stays in L1. A layer reads a tensor
 from external RAM once it was evicted at an earlier layer, else from the tier
 it was placed in; the latency estimate, the reported input home and
 `Schedule.home_at` all apply that one rule. Per-layer weights prefetch
-FLASH->L2 when the residual L2 budget allows, else stream from FLASH. Each
-layer gets an L1 tile plan (output row bands times output-channel slices)
-sized to the L1 budget.
+FLASH->L2 when the residual L2 budget allows, else stream from FLASH. The
+occupancy of each tier is a running sum, and a tensor leaves it after the
+layer at which it dies.
+
+Each conv layer gets an L1 tile plan (output row bands times output-channel
+slices) sized to the L1 budget in closed form. A 1-channel slice of r output
+rows holds min((r - 1) * stride + kh, hin) source rows of the input channels
+it reads, r output rows and one channel's weights. Those bytes are the
+smaller of two lines in r, so the most rows that fit is the larger of the
+two lines' integer roots, capped at the layer's height. At that row count
+the bytes are linear in the slice width, so the widest slice is one more
+division.
 
 Transfers route through the hierarchy (external memory reaches L1 via L2).
 An external input fetched in a single spatial pass is a contiguous 1D
@@ -31,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cnngraph import CONV_KINDS, Layer, LayerGraph, count_macs, count_macs_total
+from .cnngraph import CONV_KINDS, Layer, LayerGraph, count_macs
 from .mcu import PlatformModel, transfer_cycles
 
 TRANSFER_CLASSES = ("l2_resident", "ext_1d", "ext_2d")
@@ -156,26 +165,36 @@ def _plan_l1_tile(layer: Layer, element_bytes: int, l1_bytes: int) -> TilePlan:
     kh, kw = layer.kernel
     per_cout_weight = kh * kw * (cin // layer.groups) * element_bytes + element_bytes
     depthwise = layer.op_kind == "depthwise_conv2d"
-    for rows in range(hout, 0, -1):
-        # At a fixed row count an m-channel slice holds fixed + per_cout * m
-        # bytes of L1, so the widest slice is one division. A depthwise
-        # slice holds only its own input channels.
-        in_channel = min(_halo_rows(layer, rows), hin) * win * element_bytes
-        per_cout = per_cout_weight + rows * wout * element_bytes
-        if depthwise:
-            fixed, per_cout = 0, per_cout + in_channel
-        else:
-            fixed = cin * in_channel
-        m = min(cout, (l1_bytes - fixed) // per_cout)
-        if m >= 1:
-            return TilePlan(
-                rows=rows, cout_slice=m,
-                spatial_passes=math.ceil(hout / rows),
-                cout_passes=math.ceil(cout / m),
-            )
-    raise L1PlanError(
-        f"layer {layer.name}: even a 1-row, 1-channel tile exceeds "
-        f"{l1_bytes} B of L1"
+    # A 1-channel slice of `rows` output rows holds
+    #   in_row * min(halo(rows), hin) + out_row * rows + per_cout_weight
+    # bytes of L1 (a depthwise slice reads one input channel). That is the
+    # smaller of two lines in `rows`, so the most rows that fit is the larger
+    # of the two lines' integer roots.
+    in_row = (1 if depthwise else cin) * win * element_bytes
+    out_row = wout * element_bytes
+    free = l1_bytes - per_cout_weight
+    halo_bound = (free - in_row * (kh - layer.stride)) // (in_row * layer.stride + out_row)
+    full_bound = (free - in_row * hin) // out_row
+    rows = min(hout, max(halo_bound, full_bound))
+    if rows < 1:
+        raise L1PlanError(
+            f"layer {layer.name}: even a 1-row, 1-channel tile exceeds "
+            f"{l1_bytes} B of L1"
+        )
+    # At that row count an m-channel slice holds fixed + per_cout * m bytes
+    # of L1, so the widest slice is one division. A depthwise slice holds
+    # only its own input channels.
+    in_channel = min(_halo_rows(layer, rows), hin) * win * element_bytes
+    per_cout = per_cout_weight + rows * out_row
+    if depthwise:
+        fixed, per_cout = 0, per_cout + in_channel
+    else:
+        fixed = cin * in_channel
+    m = min(cout, (l1_bytes - fixed) // per_cout)
+    return TilePlan(
+        rows=rows, cout_slice=m,
+        spatial_passes=math.ceil(hout / rows),
+        cout_passes=math.ceil(cout / m),
     )
 
 
@@ -209,21 +228,24 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
         uses[layer.name] = []
         dies[layer.name] = i
 
+    dying: dict[int, list[str]] = {}
+    for name, at in dies.items():
+        dying.setdefault(at, []).append(name)
+
     homes: dict[str, str] = {}
-    # Live tensors and their bytes, by tier; occupancy is their sum.
+    # Live tensors and their bytes by tier, with their running sum and peak.
     live: dict[str, dict[str, int]] = {"l2": {}, "ext_ram": {}}
+    used = {"l2": 0, "ext_ram": 0}
     peak = {"l2": 0, "ext_ram": 0}
     evictions: dict[str, int] = {}
 
-    def used(tier: str) -> int:
-        return sum(live[tier].values())
-
     def hold(tier: str, name: str, nbytes: int) -> None:
         live[tier][name] = nbytes
-        peak[tier] = max(peak[tier], used(tier))
+        used[tier] += nbytes
+        peak[tier] = max(peak[tier], used[tier])
 
     def place(name: str, nbytes: int) -> None:
-        homes[name] = "l2" if used("l2") + nbytes <= l2_cap else "ext_ram"
+        homes[name] = "l2" if used["l2"] + nbytes <= l2_cap else "ext_ram"
         hold(homes[name], name, nbytes)
 
     place("input", graph.tensor_bytes(graph.input_shape))
@@ -242,17 +264,19 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
             nbytes = graph.tensor_bytes(layer.out_shape)
             # Belady's rule: until the output fits, move the live L2 tensor
             # whose last use lies farthest ahead out to external RAM.
-            while nbytes <= l2_cap and used("l2") + nbytes > l2_cap:
+            while nbytes <= l2_cap and used["l2"] + nbytes > l2_cap:
                 victim = max(((dies[t], t) for t in live["l2"] if dies[t] > i),
                              default=None)
                 if victim is None:
                     break
                 _, name = victim
-                hold("ext_ram", name, live["l2"].pop(name))
+                moved = live["l2"].pop(name)
+                used["l2"] -= moved
+                hold("ext_ram", name, moved)
                 evictions[name] = i
             place(layer.name, nbytes)
         wbytes = _weight_bytes(layer, eb)
-        weight_home = "l2" if wbytes and used("l2") + wbytes <= l2_cap else "flash"
+        weight_home = "l2" if wbytes and used["l2"] + wbytes <= l2_cap else "flash"
         tile = _plan_l1_tile(layer, eb, l1_cap)
 
         placements.append(LayerPlacement(
@@ -260,9 +284,10 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
             input_home=_read_home(homes, evictions, layer.inputs[0], i),
             output_home=homes[layer.name], tile=tile, fused_input=fused_input,
         ))
-        for tensors in live.values():
-            for name in [t for t in tensors if dies[t] <= i]:
-                del tensors[name]
+        for name in dying.get(i, ()):  # the tensors that die at this layer
+            for tier, tensors in live.items():
+                if name in tensors:
+                    used[tier] -= tensors.pop(name)
 
     return Schedule(tuple(placements), homes, peak["l2"], peak["ext_ram"],
                     evictions)
@@ -294,24 +319,20 @@ def _dma(platform: PlatformModel, src: str, dst: str, nbytes: int,
     return cycles, rows
 
 
-def _layer_compute_cycles(layer: Layer, platform: PlatformModel,
-                          engine_kind: str) -> float:
-    macs = count_macs(layer)
-    cores = platform.engine("worker_cores")
-    if layer.op_kind in CONV_KINDS:
-        if engine_kind == "conv_accelerator" and platform.has_engine("conv_accelerator"):
-            acc = platform.engine("conv_accelerator")
-            if layer.op_kind in acc.supported_ops:
-                if layer.op_kind == "depthwise_conv2d":
-                    eff = acc.peak_mac_per_cycle * acc.depthwise_derate * acc.utilization_dw
-                else:
-                    eff = acc.peak_mac_per_cycle * acc.utilization_std
-                return macs / eff
-        return macs / cores.peak_mac_per_cycle
-    if layer.elementwise:
-        nbytes = max(layer.elems_in(), layer.elems_out())
-        return nbytes / cores.elementwise_bytes_per_cycle
-    return 0.0
+def _mac_rates(platform: PlatformModel, engine_kind: str) -> dict[str, float]:
+    """MACs per cycle on each conv kind: the accelerator's efficiency where
+    the run asks for it and it supports the kind, else the worker cores'
+    peak."""
+    rates = dict.fromkeys(CONV_KINDS, platform.engine("worker_cores").peak_mac_per_cycle)
+    if engine_kind == "conv_accelerator" and platform.has_engine("conv_accelerator"):
+        acc = platform.engine("conv_accelerator")
+        for kind in CONV_KINDS & acc.supported_ops:
+            if kind == "depthwise_conv2d":
+                rates[kind] = (acc.peak_mac_per_cycle * acc.depthwise_derate
+                               * acc.utilization_dw)
+            else:
+                rates[kind] = acc.peak_mac_per_cycle * acc.utilization_std
+    return rates
 
 
 def estimate_latency(schedule: Schedule, graph: LayerGraph,
@@ -328,8 +349,18 @@ def estimate_latency(schedule: Schedule, graph: LayerGraph,
     for tensor, at in schedule.evictions.items():
         evict_bytes[at] = evict_bytes.get(at, 0) + graph.tensor_bytes(shapes[tensor])
 
+    mac_rates = _mac_rates(platform, budget.engine)
+    elementwise_rate = platform.engine("worker_cores").elementwise_bytes_per_cycle
+    total_macs = 0
     for i, (layer, p) in enumerate(zip(graph.layers, schedule.placements)):
-        compute = _layer_compute_cycles(layer, platform, budget.engine)
+        if layer.op_kind in CONV_KINDS:
+            macs = count_macs(layer)
+            total_macs += macs
+            compute = macs / mac_rates[layer.op_kind]
+        elif layer.elementwise:
+            compute = max(layer.elems_in(), layer.elems_out()) / elementwise_rate
+        else:
+            compute = 0.0
 
         tile = p.tile
         transfer = 0.0
@@ -398,7 +429,7 @@ def estimate_latency(schedule: Schedule, graph: LayerGraph,
         transfer_cycles=sum(c.transfer_cycles for c in costs),
         class_cycles=class_cycles,
         class_transfer_cycles=class_transfer,
-        total_macs=count_macs_total(graph),
+        total_macs=total_macs,
         wall_time_s=total_cycles / platform.clock_hz,
     )
 

@@ -908,6 +908,22 @@ def test_cnn_rejects_malformed_json_file(flag, body, named, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_cnn_rejects_malformed_graph_on_every_call(tmp_path, capsys):
+    """A `--graph` file whose fields check out but whose graph does not
+    (the parse cache never holds an error) exits 3 with the same one line
+    on two calls in a row in one process."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "g", "input_shape": [1, 4, 4],
+                               "layers": [{**RELU, "out_shape": [1, 0, 4]}]}))
+    errors = []
+    for _ in range(2):
+        rc = main(["cnn", "--graph", str(bad), "--out", str(tmp_path / "r.csv")])
+        errors.append(capsys.readouterr().err)
+        assert rc == 3
+        assert not (tmp_path / "r.csv").exists()
+    assert errors[0] == errors[1] == f"error: {bad}: layer r: empty output (1, 0, 4)\n"
+
+
 @pytest.mark.parametrize("name", ["mbnv3_ssdlite_320x240",
                                   "scenario_gap9_viola_low"])
 def test_cnn_rejects_data_file_that_is_not_a_platform(name, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from trapnode.cnngraph import (SHIPPED_GRAPH, BadParamCount, GraphCycle,
@@ -125,6 +127,45 @@ def test_shipped_graph_loads_and_hits_totals():
 def test_graph_json_round_trip():
     g = load_graph(SHIPPED_GRAPH)
     assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_cached_graph_equals_fresh_parse():
+    """A repeat load is served from the cache: the same graph object, equal
+    to one parsed from a fresh `json.loads` of the same text."""
+    text = SHIPPED_GRAPH.read_text(encoding="ascii")
+    cached = load_graph(SHIPPED_GRAPH)
+    hits = graph_from_json.cache_info().hits
+    assert graph_from_json(text) is cached
+    assert graph_from_json.cache_info().hits == hits + 1
+    fresh = graph_from_json.__wrapped__(text)
+    assert fresh is not cached and fresh == cached
+
+
+def test_graph_cache_keyed_on_content(tmp_path):
+    """Rewriting a graph file at the same path loads the new graph: the
+    cache key is the text, so nothing goes stale."""
+    path = tmp_path / "g.json"
+    first = LayerGraph("t", (16, 10, 10), (conv_layer(cout=16),))
+    second = LayerGraph("t", (16, 10, 10), (conv_layer(cout=8),))
+    path.write_text(graph_to_json(first), encoding="ascii")
+    assert load_graph(path) == first
+    path.write_text(graph_to_json(second), encoding="ascii")
+    assert load_graph(path) == second
+    path.write_text(graph_to_json(first), encoding="ascii")
+    assert load_graph(path) == first
+
+
+def test_graph_cache_never_holds_an_error():
+    """A text that fails validation raises on every call, not only the
+    first, and the cache stays small and bounded so fuzzed texts cannot
+    grow memory."""
+    doc = json.loads(graph_to_json(LayerGraph("t", (16, 10, 10), (conv_layer(),))))
+    doc["layers"][0]["param_count"] = 1
+    text = json.dumps(doc)
+    for _ in range(2):
+        with pytest.raises(BadParamCount):
+            graph_from_json(text)
+    assert 0 < graph_from_json.cache_info().maxsize <= 8
 
 
 def test_activation_byte_accounting():

@@ -348,6 +348,26 @@ def test_node_sweep_cycles_pinned():
                                   "b3a81439151a01b9fd8d4e88e1e1dd3f")
 
 
+def test_node_sweep_placements_pinned():
+    """Peak L2 and external-RAM bytes, evictions and tensor homes of the
+    shipped graph over the 96 points of the `node` design sweep, pinned by
+    sha-256 of their sorted items."""
+    g = load_graph(SHIPPED_GRAPH)
+    digest = hashlib.sha256()
+    for name, engines in (("gap9", ("conv_accelerator", "worker_cores")),
+                          ("gap8", ("worker_cores",))):
+        p = builtin_platform(name)
+        for engine, l1, l2, overlap in itertools.product(
+                engines, (46_700, 64_000, 90_000, 115_600),
+                (267_000, 512_000, 800_000, 1_200_000), (True, False)):
+            s = plan_schedule(g, p, BudgetConfig(l1, l2, engine, overlap))
+            digest.update(f"{s.peak_l2_bytes},{s.peak_ext_bytes},"
+                          f"{sorted(s.evictions.items())},"
+                          f"{sorted(s.tensor_homes.items())}\n".encode())
+    assert digest.hexdigest() == ("1c4c4ada3e4999f39611c54e89327813"
+                                  "7cacf98c96445b1a81732334f0ca45e3")
+
+
 def _searched_l1_tile(layer, element_bytes, l1_bytes):
     """The reference tile plan: the most rows that fit a 1-channel slice,
     then the widest slice at that row count by binary search over `fits`."""
@@ -379,10 +399,11 @@ def _searched_l1_tile(layer, element_bytes, l1_bytes):
 
 
 def test_l1_tile_slice_matches_binary_search():
-    """The closed-form channel slice equals the binary search over `fits`
-    for every conv layer of the shipped graph at the 32 (L1, L2) budgets of
-    the `node` sweep, and on a chain graph down to budgets too small for a
-    1-row, 1-channel tile."""
+    """The closed-form row count and channel slice equal the row scan and
+    binary search over `fits`: for every conv layer of the shipped graph at
+    the 32 (L1, L2) budgets of the `node` sweep, and for small layers at
+    every L1 budget from 0 B, where no tile fits, up to the one where a
+    single pass holds the whole layer."""
     g = load_graph(SHIPPED_GRAPH)
     checked = 0
     for name in ("gap9", "gap8"):
@@ -400,11 +421,27 @@ def test_l1_tile_slice_matches_binary_search():
     dw = Layer("d", "depthwise_conv2d", ("input",), (24, 12, 12), (24, 6, 6),
                kernel=(3, 3), stride=2, padding=1, groups=24,
                param_count=conv_param_count((3, 3), 24, 24, 24))
-    for layer in chain_graph(channels=(16, 24, 8), hw=12).layers + (dw,):
-        for l1 in range(0, 4_000, 7):
+    # Stride 2: the halo of the last rows, 2 * rows + 1, reaches hin = 13.
+    strided = Layer("s", "conv2d", ("input",), (6, 13, 13), (10, 7, 7),
+                    kernel=(3, 3), stride=2, padding=1,
+                    param_count=conv_param_count((3, 3), 6, 10, 1))
+    # 5x5: the halo rows + 4 reaches hin = 9 at 5 of the 9 output rows.
+    wide = Layer("w", "conv2d", ("input",), (4, 9, 9), (6, 9, 9),
+                 kernel=(5, 5), padding=2,
+                 param_count=conv_param_count((5, 5), 4, 6, 1))
+    for layer in chain_graph(channels=(16, 24, 8), hw=12).layers + (dw, strided, wide):
+        outcomes = set()
+        l1 = 0
+        while True:
             expected = _searched_l1_tile(layer, 1, l1)
             if expected is None:
                 with pytest.raises(L1PlanError):
                     _plan_l1_tile(layer, 1, l1)
             else:
-                assert _plan_l1_tile(layer, 1, l1) == expected
+                assert _plan_l1_tile(layer, 1, l1) == expected, (layer.name, l1)
+            outcomes.add(expected and expected.rows)
+            if expected and expected.spatial_passes == expected.cout_passes == 1:
+                break
+            l1 += 1
+        # Every row count from none to the full height was met.
+        assert outcomes == {None, *range(1, layer.out_shape[1] + 1)}, layer.name
