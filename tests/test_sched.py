@@ -425,7 +425,7 @@ def test_l1_tile_slice_matches_binary_search():
     strided = Layer("s", "conv2d", ("input",), (6, 13, 13), (10, 7, 7),
                     kernel=(3, 3), stride=2, padding=1,
                     param_count=conv_param_count((3, 3), 6, 10, 1))
-    # 5x5: the halo rows + 4 reaches hin = 9 at 5 of the 9 output rows.
+    # 5x5: the halo, rows + 4, reaches hin = 9 from 5 output rows on.
     wide = Layer("w", "conv2d", ("input",), (4, 9, 9), (6, 9, 9),
                  kernel=(5, 5), padding=2,
                  param_count=conv_param_count((5, 5), 4, 6, 1))
