@@ -138,15 +138,26 @@ def _check_json(what: str, value, kind) -> None:
         raise ValueError(f"{what} must be a finite number, got {value}")
 
 
+@functools.lru_cache(maxsize=4)
+def _check_text(text: str, what: str, model) -> None:
+    """Check the JSON `text` of a `model` file, as `_check_json` does. A
+    device file's `calibrated` notes are not fields.
+
+    Memoized on the text, as `graph_from_json` is, so a file named on every
+    call in one process is parsed and checked once. A raised error is never
+    cached."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and model is PlatformModel:
+        doc.pop("calibrated", None)
+    _check_json(what, doc, model)
+
+
 def _load_checked(path: Path, what: str, model, from_json):
     """A graph or platform from a file named on the command line, its fields
-    checked first. A device file's `calibrated` notes are not fields."""
+    checked first."""
     with _reading(path, what):
         text = path.read_text(encoding="ascii")
-        doc = json.loads(text)
-        if isinstance(doc, dict) and model is PlatformModel:
-            doc.pop("calibrated", None)
-        _check_json(what, doc, model)
+        _check_text(text, what, model)
         return from_json(text)
 
 

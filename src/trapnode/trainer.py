@@ -52,9 +52,10 @@ MINING_BATCH = 16384
 # `WindowStack.table_matrix`. Bounds the coefficient buffer to about 14 MB
 # for 20x20 windows; results do not depend on it.
 FEATURE_BLOCK = 4096
-# Feature rows per block of `StumpSearcher.best`. A block's temporaries stay
-# in cache; results do not depend on it.
-STUMP_BLOCK = 64
+# Features per column block of `StumpSearcher`. A block's prefix sums take
+# 16 * samples * STUMP_BLOCK bytes, so the memory `best` needs is bounded by
+# the block, not the matrix; results do not depend on it.
+STUMP_BLOCK = 1024
 # Pool windows in the fixed FP probe, drawn across the whole pool grid.
 PROBE_SIZE = 16384
 # Share of the positives held out of boosting to calibrate stage thresholds.
@@ -227,77 +228,131 @@ class StumpSearchResult:
     error: float
 
 
+def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.argsort(values, axis=1, kind="stable")`, from the faster default
+    sort, and the (rows, columns - 1) mask of sorted neighbours that are
+    equal (as `==` sees them, so -0.0 equals 0.0). Values must not be NaN.
+
+    The default sort may put equal values in any order. Each row that holds
+    equal neighbours after it is sorted again by the unique key
+    run * columns + index, where run numbers the runs of equal values in
+    sorted order: the runs keep their places and each run is put in index
+    order, which is the stable order.
+    """
+    ns = values.shape[1]
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    tied = ordered[:, 1:] == ordered[:, :-1]
+    rows = np.flatnonzero(tied.any(axis=1))
+    if rows.size:
+        run = np.zeros((rows.size, ns), dtype=np.int64)
+        np.cumsum(~tied[rows], axis=1, out=run[:, 1:])
+        run *= ns
+        key = run + order[rows]
+        key.sort(axis=1)
+        # The runs keep their places, so position p still holds run[p]'s key.
+        key -= run
+        order[rows] = key
+    return order, tied
+
+
 class StumpSearcher:
     """Reusable sorted-prefix-sum stump search over a fixed value matrix.
 
     The sort is done once; each `best(weights)` call only gathers and scans
     cumulative sums, which is what makes boosting rounds cheap. Candidate
     thresholds sit on sample values (plus sentinels past the extremes),
-    matching the strict comparisons used at evaluation time. Ties resolve to
-    the lowest feature index, polarity +1 before -1, smaller cut first.
+    matching the strict comparisons used at evaluation time. Cut c splits
+    sorted positions [0, c) | [c, ns); a cut inside a run of equal values
+    has no realizable threshold. Ties resolve to the lowest feature index,
+    polarity +1 before -1, smaller cut first.
 
-    `best` scans the features in blocks of `STUMP_BLOCK` rows, so each
-    block's (rows x cuts) temporaries stay in cache. A block's winner
-    replaces the running best only if its error is strictly lower, which
-    keeps the lowest feature index across block edges; the result is the
-    one a scan of the whole matrix at once gives.
+    Layout: the stable sort order is stored transposed, sample position on
+    axis 0 and features on axis 1, in contiguous column blocks of
+    `STUMP_BLOCK` features, each with the flat positions of its cuts inside
+    a run of equal values. Per block, `best` gathers the positive and
+    negative weights into one (2, samples, block) array and accumulates it
+    with one vectorised add per sample position, across the block's
+    features: the same additions, in the same order, as a `cumsum` along
+    each feature's sorted row. A block's winner replaces the running best
+    only if its error is strictly lower, which keeps the lowest feature
+    index across block edges.
+
+    Two arguments keep every result bit-identical to a stable argsort and a
+    scan of the whole (features x cuts) error matrix at once:
+    - the default argsort's order inside runs of equal values is repaired
+      to the stable order (`_stable_argsort`), so the sums round as they do
+      in stable order;
+    - polarity -1's error at a cut is fl(total - e), e polarity +1's error
+      there. fl(total - e) does not increase as e grows, so its minimum over
+      a feature's cuts is total - (the maximum of e), and only the winning
+      feature's cuts are scanned for the first cut that reaches it.
     """
 
     def __init__(self, values: np.ndarray, positive: np.ndarray):
         self.values = values
         self.positive = positive
-        self.order = np.argsort(values, axis=1, kind="stable")
-        self.sorted_values = np.take_along_axis(values, self.order, axis=1)
-        nf, ns = values.shape
-        # Cut c splits sorted positions [0, c) | [c, ns); a cut inside a run
-        # of equal values has no realizable threshold.
-        self.valid = np.ones((nf, ns + 1), dtype=bool)
-        self.valid[:, 1:ns] = self.sorted_values[:, :-1] != self.sorted_values[:, 1:]
+        order, tied = _stable_argsort(values)
+        self.blocks = []
+        for lo in range(0, len(values), STUMP_BLOCK):
+            block = slice(lo, lo + STUMP_BLOCK)
+            # Row k of a block's (samples, features) error plane is cut k + 1.
+            self.blocks.append((lo, np.ascontiguousarray(order[block].T),
+                                np.flatnonzero(tied[block].T)))
 
     def best(self, weights: np.ndarray) -> StumpSearchResult:
-        nf, ns = self.values.shape
+        ns = self.values.shape[1]
         w_pos = np.where(self.positive, weights, 0.0)
         w_neg = np.where(self.positive, 0.0, weights)
         total_pos = w_pos.sum()
         total = total_pos + w_neg.sum()
+        total_neg = total - total_pos  # polarity +1's error at cut 0
 
-        error, fi, cut = np.inf, 0, 0
-        for lo in range(0, nf, STUMP_BLOCK):
-            rows = slice(lo, lo + STUMP_BLOCK)
-            order = self.order[rows]
-            cpos = w_pos[order].cumsum(axis=1)
-            cneg = w_neg[order].cumsum(axis=1)
-            # Polarity +1 predicts positive on [c, ns); error at cut c.
-            err_plus = np.empty((order.shape[0], ns + 1), dtype=np.float64)
-            err_plus[:, 0] = total - total_pos
-            err_plus[:, 1:] = cpos + (total - total_pos) - cneg
-            err_minus = total - err_plus  # complementary split, polarity -1
-
-            valid = self.valid[rows]
-            err_plus = np.where(valid, err_plus, np.inf)
-            err_minus = np.where(valid, err_minus, np.inf)
-            at = np.arange(order.shape[0])
-            cut_plus = np.argmin(err_plus, axis=1)
-            cut_minus = np.argmin(err_minus, axis=1)
-            e_plus = err_plus[at, cut_plus]
-            e_minus = err_minus[at, cut_minus]
+        error, fi, polarity = np.inf, 0, 1
+        for lo, order, tied in self.blocks:
+            sums = np.empty((2,) + order.shape)
+            # Indices are in range by construction; "clip" skips the checked,
+            # buffered path.
+            np.take(w_pos, order, out=sums[0], mode="clip")
+            np.take(w_neg, order, out=sums[1], mode="clip")
+            prev = sums[:, 0]
+            for k in range(1, ns):
+                cur = sums[:, k]
+                np.add(prev, cur, out=cur)
+                prev = cur
+            # Polarity +1 predicts positive on [c, ns); its error at cut k+1.
+            err = sums[0]
+            err += total_neg
+            err -= sums[1]
+            flat = err.reshape(-1)
+            flat[tied] = np.inf
+            e_plus = np.minimum(err.min(axis=0), total_neg)
+            flat[tied] = -np.inf
+            e_minus = total - np.maximum(err.max(axis=0), total_neg)
             # Polarity +1 wins ties, then the lowest feature index.
             minus = e_minus < e_plus
             per_feature = np.where(minus, e_minus, e_plus)
             j = int(np.argmin(per_feature))
             if per_feature[j] < error:
-                error, fi = float(per_feature[j]), lo + j
-                cut = (int(cut_minus[j]) + ns + 1 if minus[j]
-                       else int(cut_plus[j]))
-        sv = self.sorted_values[fi]
-        if cut <= ns:
-            polarity = 1
+                error, fi = per_feature[j], lo + j
+                polarity = -1 if minus[j] else 1
+
+        # The winner's first best cut, from the same sums over its row alone.
+        lo, order, _ = self.blocks[fi // STUMP_BLOCK]
+        idx = order[:, fi - lo]
+        sv = self.values[fi, idx]
+        err = np.empty(ns + 1)
+        err[0] = total_neg
+        err[1:] = w_pos[idx].cumsum() + total_neg - w_neg[idx].cumsum()
+        if polarity < 0:
+            err = total - err
+        err[1:ns][sv[:-1] == sv[1:]] = np.inf
+        cut = int(np.argmin(err))
+        if polarity > 0:
             threshold = float(sv[cut - 1]) if cut >= 1 else float(sv[0] - 1.0)
         else:
-            polarity = -1
-            c = cut - (ns + 1)
-            threshold = float(sv[c]) if c < ns else float(sv[ns - 1] + 1.0)
-        return StumpSearchResult(fi, threshold, polarity, error)
+            threshold = float(sv[cut]) if cut < ns else float(sv[ns - 1] + 1.0)
+        return StumpSearchResult(fi, threshold, polarity, float(err[cut]))
 
 
 def _alpha(error: float) -> float:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapnode.cli import _fixed_point, _sim_rows, build_parser, main
+from trapnode.cnngraph import SHIPPED_GRAPH
 from trapnode.detector import detect
 from trapnode.imaging import GrayImage, save_pgm
 from trapnode.synthetic import synth_scene
@@ -922,6 +923,32 @@ def test_cnn_rejects_malformed_graph_on_every_call(tmp_path, capsys):
         assert rc == 3
         assert not (tmp_path / "r.csv").exists()
     assert errors[0] == errors[1] == f"error: {bad}: layer r: empty output (1, 0, 4)\n"
+
+
+def test_cnn_rejects_unchecked_graph_on_every_call(tmp_path, capsys):
+    """A `--graph` file whose fields fail the check exits 3 with the same
+    one line on two calls in a row in one process: the check cache never
+    holds an error."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "g", "input_shape": [1, 4, 4],
+                               "layers": [{**RELU, "colour": 1}]}))
+    errors = []
+    for _ in range(2):
+        rc = main(["cnn", "--graph", str(bad), "--out", str(tmp_path / "r.csv")])
+        errors.append(capsys.readouterr().err)
+        assert rc == 3
+    assert errors[0] == errors[1] == f"error: {bad}: unknown key graph.layers[0].colour\n"
+
+
+def test_cnn_checked_graph_copy_matches_default(tmp_path):
+    """A copy of the shipped graph goes through the checked `--graph` path,
+    twice (the second time from the check cache), and reports the same
+    bytes as the default, trusted load."""
+    copy_path = tmp_path / "graph.json"
+    copy_path.write_bytes(SHIPPED_GRAPH.read_bytes())
+    default = run_to_file(["cnn"], tmp_path / "default.csv")
+    for name in ("c1.csv", "c2.csv"):
+        assert run_to_file(["cnn", "--graph", str(copy_path)], tmp_path / name) == default
 
 
 @pytest.mark.parametrize("name", ["mbnv3_ssdlite_320x240",

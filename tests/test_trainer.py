@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trapnode.cascade import (Cascade, HaarFeature, Stage, WeakClassifier,
                               cascade_to_json, eval_grid, eval_window,
@@ -17,6 +19,7 @@ from trapnode.trainer import (STUMP_BLOCK, TEMPLATES, StumpSearcher,
                               StumpSearchResult, TrainConfig, WindowStack,
                               enumerate_features, feature_table, train_cascade,
                               _alpha, _boost_stage, _draw_features,
+                              _stable_argsort,
                               _mine_negatives, _PoolGrid, _PoolProbe)
 
 BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
@@ -196,6 +199,60 @@ def test_feature_table_rejects_bad_arguments():
         for w, h in ((1, 8), (8, 1), (1, 1)):
             with pytest.raises(ValueError, match="at least 2x2"):
                 make(w, h)
+
+
+# ------------------------------------------------------------ stable sort --
+
+def assert_stable_argsort(values: np.ndarray) -> None:
+    """`_stable_argsort` against numpy's stable argsort, the referee, index
+    for index, and its tie mask against the sorted neighbours."""
+    order, tied = _stable_argsort(values)
+    expected = np.argsort(values, axis=1, kind="stable")
+    assert np.array_equal(order, expected)
+    ordered = np.take_along_axis(values, expected, axis=1)
+    assert np.array_equal(tied, ordered[:, 1:] == ordered[:, :-1])
+
+
+def named_sort_matrices() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(60)
+    mixed = rng.integers(0, 4, size=(30, 150)).astype(np.float64)
+    distinct = np.argsort(rng.random((20, 300)), axis=1).astype(np.float64)
+    return {
+        "tie-heavy small integers": rng.integers(-2, 3, size=(40, 300)).astype(np.float64),
+        "signed zeros mixed": rng.choice([-0.0, 0.0, 1.0, -1.0], size=(40, 200)),
+        "signed zeros only": rng.choice([-0.0, 0.0], size=(10, 64)),
+        "all-equal rows": np.full((6, 100), 3.5),
+        "all-distinct rows": distinct,
+        "distinct and tied rows": np.concatenate([distinct[:, :150], mixed]),
+        "one sample": rng.integers(0, 2, size=(12, 1)).astype(np.float64),
+        "two samples": rng.integers(0, 2, size=(12, 2)).astype(np.float64),
+    }
+
+
+@pytest.mark.parametrize("name", list(named_sort_matrices()))
+def test_stable_argsort_matches_referee_on_named_matrices(name):
+    assert_stable_argsort(named_sort_matrices()[name])
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 120)),
+              elements=st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+                                 st.floats(allow_nan=False, width=64))))
+def test_stable_argsort_matches_referee(values):
+    assert_stable_argsort(values)
+
+
+def test_best_stump_keeps_signed_zero_thresholds():
+    # `==` does not tell -0.0 from 0.0, so compare the reprs: a threshold
+    # on a run of zeros is the zero the stable order puts at its edge.
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        values = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(30, 16))
+        positive = rng.random(16) > 0.5
+        positive[:2] = True, False
+        weights = rng.integers(1, 4, size=16).astype(np.float64)
+        found = StumpSearcher(values, positive).best(weights)
+        assert repr(found) == repr(whole_matrix_stump(values, positive, weights))
 
 
 # ------------------------------------------------------------ weak stumps --
