@@ -19,8 +19,8 @@ from trapnode.trainer import (STUMP_BLOCK, TEMPLATES, StumpSearcher,
                               StumpSearchResult, TrainConfig, WindowStack,
                               enumerate_features, feature_table, train_cascade,
                               _alpha, _boost_stage, _draw_features,
-                              _stable_argsort,
-                              _mine_negatives, _PoolGrid, _PoolProbe)
+                              _mine_negatives, _PoolGrid, _PoolProbe,
+                              _stable_argsort)
 
 BENCH_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "bench_cascade.json"
 
