@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import inspect
@@ -19,22 +18,21 @@ import json
 import math
 import os
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cascade import load_cascade, save_cascade
-from .cnngraph import (SHIPPED_GRAPH, LayerGraph, count_macs_total,
-                       count_params_total, graph_from_json, load_graph)
+from .cnngraph import (SHIPPED_GRAPH, count_macs_total, count_params_total,
+                       load_graph)
 from .detector import (BudgetTooSmall, Detection, PyramidConfig, ScratchBudget,
                        detect)
 from .evaluator import match_by_image
 from .imaging import GrayImage, load_pgm, save_pgm
 from .integral import Rect
-from .mcu import (PlatformModel, UnknownPlatform, builtin_platform,
-                  platform_from_json)
+from .mcu import UnknownPlatform, builtin_platform, load_platform
+from .modelfile import read_model
 from .power import (BLOCK_WAKES, POLICIES, Battery, DutyCycleConfig,
                     PhaseEnergy, daily_energy, gap9_viola_energy, lifetime,
                     simulate, wake_cycle_energy)
@@ -95,70 +93,6 @@ def _read_image(path: Path) -> GrayImage:
 def _require_finite(what: str, value) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise InputError(f"{what} must be a finite number, got {value}")
-
-
-@functools.cache  # one resolution per dataclass; hints never change
-def _field_types(model) -> dict[str, tuple[object, bool]]:
-    """Each field of dataclass `model`: its resolved type, and whether a file
-    must give it (it has no default)."""
-    hints = typing.get_type_hints(model)
-    return {f.name: (hints[f.name], f.default is dataclasses.MISSING)
-            for f in dataclasses.fields(model)}
-
-
-def _check_json(what: str, value, kind) -> None:
-    """Check `value`, read from JSON at `what`, against the type `kind`: a
-    dataclass takes an object with its fields, a tuple or frozenset a list,
-    an int an integer and a float a finite number. The ValueError raised
-    names the first bad key."""
-    if dataclasses.is_dataclass(kind):
-        if not isinstance(value, dict):
-            raise ValueError(f"{what} must be a JSON object")
-        fields = _field_types(kind)
-        for key in value:
-            if key not in fields:
-                raise ValueError(f"unknown key {what}.{key}")
-        for name, (hint, required) in fields.items():
-            if name in value:
-                _check_json(f"{what}.{name}", value[name], hint)
-            elif required:
-                raise ValueError(f"{what}.{name} is missing")
-        return
-    items = typing.get_args(kind)
-    if items:
-        fixed = typing.get_origin(kind) is tuple and items[-1] is not Ellipsis
-        if not isinstance(value, list) or fixed and len(value) != len(items):
-            raise ValueError(f"{what} must be a list ({kind}), got {value!r}")
-        for i, item in enumerate(value):
-            _check_json(f"{what}[{i}]", item, items[i if fixed else 0])
-    elif (isinstance(value, bool) != (kind is bool)
-          or not isinstance(value, (int, float) if kind is float else kind)):
-        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
-    elif kind in (int, float) and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} must be a finite number, got {value}")
-
-
-@functools.lru_cache(maxsize=4)
-def _check_text(text: str, what: str, model) -> None:
-    """Check the JSON `text` of a `model` file, as `_check_json` does. A
-    device file's `calibrated` notes are not fields.
-
-    Memoized on the text, as `graph_from_json` is, so a file named on every
-    call in one process is parsed and checked once. A raised error is never
-    cached."""
-    doc = json.loads(text)
-    if isinstance(doc, dict) and model is PlatformModel:
-        doc.pop("calibrated", None)
-    _check_json(what, doc, model)
-
-
-def _load_checked(path: Path, what: str, model, from_json):
-    """A graph or platform from a file named on the command line, its fields
-    checked first."""
-    with _reading(path, what):
-        text = path.read_text(encoding="ascii")
-        _check_text(text, what, model)
-        return from_json(text)
 
 
 @contextlib.contextmanager
@@ -341,9 +275,8 @@ def _resolve_platform(spec: str):
         candidates.append(Path(env) / f"{spec}.json")
     for c in candidates:
         if c.is_file():
-            return _load_checked(
-                c, "platform", PlatformModel,
-                lambda text: require_routable(platform_from_json(text)))
+            with _reading(c, "platform"):
+                return require_routable(load_platform(c))
     raise InputError(f"unknown platform {spec!r} (no builtin, file, or "
                      "TRAPNODE_PLATFORM_PATH match)")
 
@@ -369,8 +302,8 @@ def _latency_lines(schedule, report) -> list[str]:
 
 def cmd_cnn(args) -> int:
     graph_path = Path(args.graph)
-    graph = (load_graph(graph_path) if graph_path == SHIPPED_GRAPH  # trusted
-             else _load_checked(graph_path, "graph", LayerGraph, graph_from_json))
+    with _reading(graph_path, "graph"):
+        graph = load_graph(graph_path)
     platform = _resolve_platform(args.platform)
 
     params = {
@@ -452,9 +385,7 @@ def _scenario_from_args(args):
             for section in doc:
                 if section not in SCENARIO_SECTIONS:
                     raise ValueError(f"unknown section {section!r}")
-            for section, model in SCENARIO_SECTIONS.items():
-                _check_json(section, doc.get(section, {}), model)
-            return tuple(model(**doc.get(section, {}))
+            return tuple(read_model(section, doc.get(section, {}), model)
                          for section, model in SCENARIO_SECTIONS.items())
     pe = PhaseEnergy(compute_mj=args.compute_mj, camera_mj=args.camera_mj,
                      tx_mj_per_byte=args.tx_mj_per_byte,

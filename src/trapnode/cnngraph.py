@@ -7,7 +7,8 @@ multiply-accumulates and bytes each layer moves. Activations and weights are
 
 Graph files are JSON: {"name", "element_bytes", "input_shape", "layers":
 [{name, op_kind, inputs, in_shape, out_shape, kernel, stride, padding,
-groups, param_count, elementwise}]}.
+groups, param_count, elementwise}]}. Every graph file, the shipped one too, is
+checked field by field as it is read, by `modelfile.read_model`.
 
 `SHIPPED_GRAPH`, the only description of the node's network, transcribes the
 reduced-tail MobileNetV3-Large backbone, SSDLite heads at six scales, and a
@@ -20,6 +21,8 @@ import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
+
+from .modelfile import read_model
 
 SHIPPED_GRAPH = Path(__file__).parent / "data" / "mbnv3_ssdlite_320x240.json"
 
@@ -226,19 +229,14 @@ def graph_to_json(graph: LayerGraph) -> str:
 
 @functools.lru_cache(maxsize=4)
 def graph_from_json(text: str) -> LayerGraph:
-    """The graph a `graph_to_json` document describes; a key it leaves out
-    takes the dataclass default.
+    """The graph a `graph_to_json` document describes, read field by field
+    by `read_model`; a key it leaves out takes the dataclass default.
 
     Memoized on the text, so repeat calls in one process parse and validate
     a graph once. A cached graph can be shared: `LayerGraph` and `Layer` are
     frozen and hold only tuples. A raised error is never cached, and the
     bounded size keeps fuzzed texts from growing memory."""
-    def tuples(d: dict) -> dict:
-        return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-
-    doc = json.loads(text)
-    doc["layers"] = [Layer(**tuples(l)) for l in doc["layers"]]
-    return LayerGraph(**tuples(doc))
+    return read_model("graph", json.loads(text), LayerGraph)
 
 
 def load_graph(path) -> LayerGraph:

@@ -6,7 +6,8 @@ transfer is modeled as one 1D copy per row with a fixed per-row overhead, the
 knob that captures strided external-memory reads being far slower than
 contiguous streams. The built-in platforms are the shipped files
 `data/gap8.json` and `data/gap9.json`; their `calibrated` mapping says which
-values are model defaults or calibration constants.
+values are model defaults or calibration constants. Every device file, shipped
+or not, is checked field by field as it is read, by `modelfile.read_model`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
+
+from .modelfile import read_model
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -150,18 +153,9 @@ def platform_to_json(p: PlatformModel) -> str:
 
 def platform_from_json(text: str) -> PlatformModel:
     doc = json.loads(text)
-    return PlatformModel(
-        name=doc["name"],
-        clock_hz=float(doc["clock_hz"]),
-        voltage_v=float(doc["voltage_v"]),
-        tiers=tuple(MemoryTier(**t) for t in doc["tiers"]),
-        engines=tuple(
-            ComputeEngine(**{**e, "supported_ops": frozenset(e.get("supported_ops", ()))})
-            for e in doc["engines"]
-        ),
-        active_power_mw=dict(doc["active_power_mw"]),
-        dma_overlap=bool(doc.get("dma_overlap", False)),
-    )
+    if isinstance(doc, dict):
+        doc.pop("calibrated", None)  # notes on the values, not fields
+    return read_model("platform", doc, PlatformModel)
 
 
 def load_platform(path) -> PlatformModel:

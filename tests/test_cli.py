@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trapnode.cli import _fixed_point, _sim_rows, build_parser, main
-from trapnode.cnngraph import SHIPPED_GRAPH
+from trapnode.cnngraph import SHIPPED_GRAPH, LayerGraph, graph_from_json
 from trapnode.detector import detect
 from trapnode.imaging import GrayImage, save_pgm
+from trapnode.mcu import PlatformModel, platform_from_json
 from trapnode.synthetic import synth_scene
 
 
@@ -927,8 +928,8 @@ def test_cnn_rejects_malformed_graph_on_every_call(tmp_path, capsys):
 
 def test_cnn_rejects_unchecked_graph_on_every_call(tmp_path, capsys):
     """A `--graph` file whose fields fail the check exits 3 with the same
-    one line on two calls in a row in one process: the check cache never
-    holds an error."""
+    one line on two calls in a row in one process: the graph reader's parse
+    cache never holds an error."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "g", "input_shape": [1, 4, 4],
                                "layers": [{**RELU, "colour": 1}]}))
@@ -941,9 +942,9 @@ def test_cnn_rejects_unchecked_graph_on_every_call(tmp_path, capsys):
 
 
 def test_cnn_checked_graph_copy_matches_default(tmp_path):
-    """A copy of the shipped graph goes through the checked `--graph` path,
-    twice (the second time from the check cache), and reports the same
-    bytes as the default, trusted load."""
+    """A copy of the shipped graph named by `--graph`, twice (the second
+    time from the parse cache), reports the same bytes as the default, which
+    reads the shipped graph through the same checked reader."""
     copy_path = tmp_path / "graph.json"
     copy_path.write_bytes(SHIPPED_GRAPH.read_bytes())
     default = run_to_file(["cnn"], tmp_path / "default.csv")
@@ -1032,12 +1033,21 @@ MODEL_VALUES = st.sampled_from([None, True, "x", [], {}, 0, -1, 1e308, 5e-324,
 def test_model_file_reader_fuzz(case, data, tmp_path_factory):
     """A shipped graph, platform or scenario file with one key dropped or
     one value replaced, as `cnn --graph`, `cnn --platform` or
-    `power --scenario`: it exits cleanly."""
+    `power --scenario`: it exits cleanly. A graph or platform text read
+    directly returns a model or raises a ValueError."""
     command, flag, name = case
     doc = json.loads((DATA / name).read_text())
     work = tmp_path_factory.mktemp("fuzz")
-    (work / name).write_bytes(data.draw(mutated_docs(doc, MODEL_VALUES)))
+    text = data.draw(mutated_docs(doc, MODEL_VALUES))
+    (work / name).write_bytes(text)
     exits_cleanly([command, flag, str(work / name)], work / "r.out")
+    if command == "cnn":
+        reader, model = {"--graph": (graph_from_json, LayerGraph),
+                         "--platform": (platform_from_json, PlatformModel)}[flag]
+        try:
+            assert isinstance(reader(text.decode()), model)
+        except ValueError:
+            pass
 
 
 @pytest.mark.parametrize("key,flag,value", [

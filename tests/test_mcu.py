@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,3 +124,32 @@ def test_platform_json_round_trip(name):
     p = builtin_platform(name)
     again = platform_from_json(platform_to_json(p))
     assert again == p
+
+
+def gap9_doc() -> dict:
+    return json.loads(platform_to_json(builtin_platform("gap9")))
+
+
+def with_tier(**fields) -> dict:
+    doc = gap9_doc()
+    doc["tiers"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc,named", [
+    pytest.param({**gap9_doc(), "dma_overlap": "false"},
+                 "platform.dma_overlap must be bool, got 'false'", id="bool-as-text"),
+    pytest.param(with_tier(capacity=True),
+                 "platform.tiers[0].capacity must be int, got True", id="bool-as-int"),
+    pytest.param({**gap9_doc(), "clock_hz": "240e6"},
+                 "platform.clock_hz must be float, got '240e6'", id="number-as-text"),
+    pytest.param({}, "platform.name is missing", id="empty"),
+    pytest.param({**gap9_doc(), "tiers": [5]},
+                 "platform.tiers[0] must be a JSON object", id="scalar-tier"),
+])
+def test_platform_from_json_rejects_mistyped_field(doc, named):
+    """Each platform value of the wrong JSON type raises a ValueError naming
+    its field, instead of being converted or failing with another error."""
+    with pytest.raises(ValueError) as info:
+        platform_from_json(json.dumps(doc))
+    assert str(info.value) == named
