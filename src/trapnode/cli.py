@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import load_cascade, save_cascade
-from .cnngraph import (SHIPPED_GRAPH, count_macs_total, count_params_total,
-                       load_graph)
+from .cnngraph import SHIPPED_GRAPH, load_graph
 from .detector import (BudgetTooSmall, Detection, PyramidConfig, ScratchBudget,
                        detect)
 from .evaluator import match_by_image
@@ -37,7 +36,7 @@ from .power import (BLOCK_WAKES, POLICIES, Battery, DutyCycleConfig,
                     PhaseEnergy, daily_energy, gap9_viola_energy, lifetime,
                     simulate, wake_cycle_energy)
 from .sched import (BudgetConfig, L1PlanError, compare_budgets, estimate_latency,
-                    plan_schedule, require_routable)
+                    layer_table, plan_schedule, require_routable)
 from .synthetic import synth_negative_images, synth_positive_windows, synth_scene
 from .trainer import TrainConfig, train_cascade
 
@@ -312,8 +311,9 @@ def cmd_cnn(args) -> int:
         "dma_overlap": args.dma_overlap and platform.dma_overlap,
     }
     lines = manifest_lines("cnn", params, {"graph": graph_path})
-    lines.append(f"# graph {graph.name}: macs={count_macs_total(graph)} "
-                 f"params={count_params_total(graph)}")
+    table = layer_table(graph)
+    lines.append(f"# graph {graph.name}: macs={table.macs_total} "
+                 f"params={table.params_total}")
 
     if args.compare_budgets:
         if len(args.compare_budgets) < 2:
@@ -485,10 +485,16 @@ def cmd_power(args) -> int:
     trace = _read_trace(Path(args.simulate)) if args.simulate else None
     params = {
         "wake_period": cfg.wake_period_s, "policy": cfg.payload_policy,
-        "compute_mj": pe.compute_mj, "overhead_mj": pe.wake_overhead_mj,
+        "compute_mj": pe.compute_mj, "camera_mj": pe.camera_mj,
+        "tx_mj_per_byte": pe.tx_mj_per_byte, "overhead_mj": pe.wake_overhead_mj,
+        "counter_bytes": cfg.counter_payload_bytes,
+        "image_bytes": cfg.image_payload_bytes,
+        "detections_per_day": cfg.detections_per_day,
         "sleep_uw": cfg.sleep_power_uw,
         "battery_mah": batt.capacity_mah, "battery_v": batt.voltage_v,
     }
+    if args.simulate:
+        params["horizon_days"] = args.horizon_days
     inputs = {}
     if args.scenario:
         inputs["scenario"] = Path(args.scenario)

@@ -1,19 +1,28 @@
 """Memory placement and latency estimation for layer-by-layer inference.
 
-Placement is greedy in topological order over one lifetime table, built in a
-single pass over the layers: each tensor's consumer indices, and the layer
-after which it dies (its last consumer, or its producer if nothing consumes
-it). Activations live in L2 while the occupancy of the live tensors fits the
-budget. To make room for an output, the live L2 tensor whose last use lies
-farthest ahead moves to external RAM (Belady's rule, ties to the larger
-name); an output that still does not fit spills there. An output whose only
-consumer is the next, elementwise, layer stays in L1. A layer reads a tensor
-from external RAM once it was evicted at an earlier layer, else from the tier
-it was placed in; the latency estimate, the reported input home and
-`Schedule.home_at` all apply that one rule. Per-layer weights prefetch
-FLASH->L2 when the residual L2 budget allows, else stream from FLASH. The
-occupancy of each tier is a running sum, and a tensor leaves it after the
-layer at which it dies.
+A graph's fixed layer facts are derived once per graph object, in one
+`LayerTable`: the lifetime table (the layer after which each tensor dies: its
+last consumer, or its producer if nothing consumes it; and the tensors dying
+at each layer), and each layer's fused operand, whether its output is chained
+in L1, its byte and MAC counts. Each L1 cap's tile plans and the bytes each
+layer moves under them are derived once per table and cap. Per call,
+`plan_schedule` runs only the occupancy walk and `estimate_latency` only the
+billing, which depend on the budgets and the platform. A bounded number of
+tables and caps is kept; a table holds its graph, so the graph's id is not
+reused while it is cached. The result rows (`TilePlan`, `LayerPlacement`,
+`LayerCost`) are named tuples: immutable and cheap to build.
+
+Placement is greedy in topological order. Activations live in L2 while the
+occupancy of the live tensors fits the budget. To make room for an output,
+the live L2 tensor whose last use lies farthest ahead moves to external RAM
+(Belady's rule, ties to the larger name); an output that still does not fit
+spills there. An output whose only consumer is the next, elementwise, layer
+stays in L1. A layer reads a tensor from external RAM once it was evicted at
+an earlier layer, else from the tier it was placed in; the latency estimate,
+the reported input home and `Schedule.home_at` all apply that one rule.
+Per-layer weights prefetch FLASH->L2 when the residual L2 budget allows, else
+stream from FLASH. The occupancy of each tier is a running sum, and a tensor
+leaves it after the layer at which it dies.
 
 Each conv layer gets an L1 tile plan (output row bands times output-channel
 slices) sized to the L1 budget in closed form. A 1-channel slice of r output
@@ -38,14 +47,18 @@ double-buffering is enabled on both the platform and the run config.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cnngraph import CONV_KINDS, Layer, LayerGraph, count_macs
+from .cnngraph import CONV_KINDS, Layer, LayerGraph, count_macs, count_params_total
 from .mcu import PlatformModel, transfer_cycles
 
 TRANSFER_CLASSES = ("l2_resident", "ext_1d", "ext_2d")
 ROUTED_TIERS = ("l1", "l2", "ext_ram", "flash")
 _EXTERNAL = ("ext_ram", "flash")  # tiers reached through L2
+TABLE_CACHE_SIZE = 4  # graphs whose layer tables are kept
+CAPS_PER_TABLE = 8    # L1 caps whose tile plans each table keeps
 
 
 class L1PlanError(ValueError):
@@ -68,16 +81,14 @@ class BudgetConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
 
 
-@dataclass(frozen=True)
-class TilePlan:
+class TilePlan(NamedTuple):
     rows: int          # output rows per pass
     cout_slice: int    # output channels per pass
     spatial_passes: int
     cout_passes: int
 
 
-@dataclass(frozen=True)
-class LayerPlacement:
+class LayerPlacement(NamedTuple):
     name: str
     weight_home: str    # "l2" (prefetched) or "flash" (streamed per tile)
     input_home: str
@@ -95,6 +106,7 @@ class Schedule:
     peak_l2_bytes: int
     peak_ext_bytes: int
     evictions: dict  # tensor -> layer index at which it moved L2 -> ext
+    l1_bytes: int    # the L1 cap the tile plans fill
 
     def placement(self, name: str) -> LayerPlacement:
         for p in self.placements:
@@ -107,8 +119,7 @@ class Schedule:
         return _read_home(self.tensor_homes, self.evictions, tensor, layer_index)
 
 
-@dataclass(frozen=True)
-class LayerCost:
+class LayerCost(NamedTuple):
     name: str
     transfer_class: str
     compute_cycles: float
@@ -198,6 +209,150 @@ def _plan_l1_tile(layer: Layer, element_bytes: int, l1_bytes: int) -> TilePlan:
     )
 
 
+class _LayerRow(NamedTuple):
+    """One layer's facts that no budget or platform changes."""
+    layer: Layer
+    fused: str | None     # operand tapped from the previous layer's L1 tile
+    chained: bool         # output kept in L1 for its only consumer, the next layer
+    conv: bool
+    out_bytes: int
+    weight_bytes: int
+    macs: int             # conv layers only
+    elems: int            # elementwise layers only: the larger of in and out
+    in_bytes: int         # summed input bytes, for the loop order
+    dying: tuple[str, ...]  # tensors whose last use is this layer
+
+
+class _LayerBill(NamedTuple):
+    """The bytes a layer moves under its tile plan, whichever tiers hold them."""
+    fetches: tuple[tuple[str, int, int], ...]  # (operand, bytes, row copies)
+    weight_l1_bytes: int  # weight bytes streamed into L1 over the loop
+    writeback_rows: int
+
+
+class _CapPlan(NamedTuple):
+    tiles: tuple[TilePlan, ...]
+    bills: tuple[_LayerBill, ...]
+
+
+def _bill(row: _LayerRow, tile: TilePlan, shapes: dict, eb: int) -> _LayerBill:
+    layer = row.layer
+    # Loop order per layer is whichever re-fetches fewer bytes:
+    # input-stationary (weights re-stream once per spatial pass) or
+    # weight-stationary (input re-streams once per channel pass).
+    # Depthwise channels partition, so nothing re-fetches there.
+    in_refetch, w_refetch = 1, 1
+    if row.conv and layer.op_kind != "depthwise_conv2d":
+        in_stationary = row.weight_bytes * (tile.spatial_passes - 1)
+        w_stationary = row.in_bytes * (tile.cout_passes - 1)
+        if in_stationary <= w_stationary:
+            w_refetch = tile.spatial_passes
+        else:
+            in_refetch = tile.cout_passes
+
+    fetches = []
+    for src in layer.inputs:
+        if src == row.fused:  # read from the producer's L1 tile
+            continue
+        c, h, w = shapes[src]
+        fetch_bytes = c * h * w * eb
+        if row.conv:
+            halo = max(_halo_rows(layer, tile.rows) * tile.spatial_passes - h, 0)
+            fetch_bytes = (fetch_bytes + c * halo * w * eb) * in_refetch
+        strided = tile.spatial_passes > 1 or in_refetch > 1
+        fetches.append((src, fetch_bytes,
+                        c * tile.spatial_passes * in_refetch if strided else 1))
+    writeback_rows = (layer.out_shape[0] * tile.spatial_passes
+                      if tile.spatial_passes > 1 else 1)
+    return _LayerBill(tuple(fetches), row.weight_bytes * w_refetch, writeback_rows)
+
+
+class LayerTable:
+    """The fixed facts of one graph's layers, derived once per graph object,
+    and its tile plans and byte bills per L1 cap (`at_cap`)."""
+
+    def __init__(self, graph: LayerGraph):
+        self.graph = graph  # held, so its id is not reused while cached
+        eb = graph.element_bytes
+        layers = graph.layers
+        shapes = {"input": graph.input_shape}
+        uses: dict[str, list[int]] = {"input": []}
+        dies: dict[str, int] = {"input": -1}
+        for i, layer in enumerate(layers):
+            for src in layer.inputs:
+                uses[src].append(i)
+                dies[src] = i
+            uses[layer.name] = []
+            dies[layer.name] = i
+            shapes[layer.name] = layer.out_shape
+        dying: dict[int, list[str]] = {}
+        for name, at in dies.items():
+            dying.setdefault(at, []).append(name)
+
+        rows = []
+        for i, layer in enumerate(layers):
+            # Operands produced by the immediately preceding layer are tapped
+            # in L1 before writeback, so elementwise consumers fetch them for
+            # free.
+            prev = layers[i - 1].name if i else None
+            conv = layer.op_kind in CONV_KINDS
+            rows.append(_LayerRow(
+                layer=layer,
+                fused=prev if layer.elementwise and prev in layer.inputs else None,
+                chained=uses[layer.name] == [i + 1] and layers[i + 1].elementwise,
+                conv=conv,
+                out_bytes=graph.tensor_bytes(layer.out_shape),
+                weight_bytes=_weight_bytes(layer, eb),
+                macs=count_macs(layer),
+                elems=(max(layer.elems_in(), layer.elems_out())
+                       if layer.elementwise else 0),
+                in_bytes=sum(graph.tensor_bytes(shapes[s]) for s in layer.inputs),
+                dying=tuple(dying.get(i, ())),
+            ))
+        self.rows = tuple(rows)
+        self.dies = dies
+        self.shapes = shapes
+        self.nbytes = {name: graph.tensor_bytes(shape) for name, shape in shapes.items()}
+        self.macs_total = sum(row.macs for row in rows)
+        self.params_total = count_params_total(graph)
+        self._caps: OrderedDict[int, _CapPlan] = OrderedDict()
+
+    def at_cap(self, l1_cap: int) -> _CapPlan:
+        """Each layer's tile plan and byte bill at `l1_cap` bytes of L1. An
+        `L1PlanError` is raised again on every call; nothing is kept of it."""
+        plan = self._caps.get(l1_cap)
+        if plan is None:
+            eb = self.graph.element_bytes
+            tiles = tuple(_plan_l1_tile(row.layer, eb, l1_cap) for row in self.rows)
+            plan = _CapPlan(tiles, tuple(_bill(row, tile, self.shapes, eb)
+                                         for row, tile in zip(self.rows, tiles)))
+            if len(self._caps) >= CAPS_PER_TABLE:
+                self._caps.popitem(last=False)
+            self._caps[l1_cap] = plan
+        else:
+            self._caps.move_to_end(l1_cap)
+        return plan
+
+
+_TABLES: OrderedDict[int, LayerTable] = OrderedDict()
+
+
+def layer_table(graph: LayerGraph) -> LayerTable:
+    """The graph's `LayerTable`, kept by object identity for the
+    `TABLE_CACHE_SIZE` graphs used last. A `LayerGraph` and its layers are
+    frozen, so the table never goes stale."""
+    key = id(graph)
+    table = _TABLES.get(key)
+    if table is None:
+        table = LayerTable(graph)
+        if len(_TABLES) >= TABLE_CACHE_SIZE:
+            _TABLES.popitem(last=False)
+        _TABLES[key] = table
+    else:
+        _TABLES.move_to_end(key)
+    return table
+
+
 def _read_home(homes: dict, evictions: dict, tensor: str, layer_index: int) -> str:
     """Tier a layer at `layer_index` reads `tensor` from: external RAM once
     the tensor was evicted at an earlier layer, else the tier it was placed in."""
@@ -212,25 +367,11 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
 
     The L1 and L2 budgets are capped at the platform's tier capacities.
     """
-    eb = graph.element_bytes
     l1_cap = min(budget.l1_bytes, platform.tier("l1").capacity)
     l2_cap = min(budget.l2_bytes, platform.tier("l2").capacity)
-
-    # The lifetime table: each tensor's consumer indices in layer order, and
-    # the index after which it dies: its last consumer's, or its producer's
-    # if nothing consumes it.
-    uses: dict[str, list[int]] = {"input": []}
-    dies: dict[str, int] = {"input": -1}
-    for i, layer in enumerate(graph.layers):
-        for src in layer.inputs:
-            uses[src].append(i)
-            dies[src] = i
-        uses[layer.name] = []
-        dies[layer.name] = i
-
-    dying: dict[int, list[str]] = {}
-    for name, at in dies.items():
-        dying.setdefault(at, []).append(name)
+    table = layer_table(graph)
+    tiles = table.at_cap(l1_cap).tiles
+    dies = table.dies
 
     homes: dict[str, str] = {}
     # Live tensors and their bytes by tier, with their running sum and peak.
@@ -248,20 +389,16 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
         homes[name] = "l2" if used["l2"] + nbytes <= l2_cap else "ext_ram"
         hold(homes[name], name, nbytes)
 
-    place("input", graph.tensor_bytes(graph.input_shape))
+    place("input", table.nbytes["input"])
     placements = []
-    for i, layer in enumerate(graph.layers):
-        # Operands produced by the immediately preceding layer are tapped in
-        # L1 before writeback, so elementwise consumers fetch them for free.
-        prev = graph.layers[i - 1].name if i else None
-        fused_input = prev if layer.elementwise and prev in layer.inputs else None
-
-        if uses[layer.name] == [i + 1] and graph.layers[i + 1].elementwise:
+    for i, (row, tile) in enumerate(zip(table.rows, tiles)):
+        name = row.layer.name
+        if row.chained:
             # Chained through the L1 tile pipeline into its only consumer,
             # the next layer; never written to L2 or external memory.
-            homes[layer.name] = "l1"
+            homes[name] = "l1"
         else:
-            nbytes = graph.tensor_bytes(layer.out_shape)
+            nbytes = row.out_bytes
             # Belady's rule: until the output fits, move the live L2 tensor
             # whose last use lies farthest ahead out to external RAM.
             while nbytes <= l2_cap and used["l2"] + nbytes > l2_cap:
@@ -269,28 +406,25 @@ def plan_schedule(graph: LayerGraph, platform: PlatformModel,
                              default=None)
                 if victim is None:
                     break
-                _, name = victim
-                moved = live["l2"].pop(name)
+                _, moved_name = victim
+                moved = live["l2"].pop(moved_name)
                 used["l2"] -= moved
-                hold("ext_ram", name, moved)
-                evictions[name] = i
-            place(layer.name, nbytes)
-        wbytes = _weight_bytes(layer, eb)
+                hold("ext_ram", moved_name, moved)
+                evictions[moved_name] = i
+            place(name, nbytes)
+        wbytes = row.weight_bytes
         weight_home = "l2" if wbytes and used["l2"] + wbytes <= l2_cap else "flash"
-        tile = _plan_l1_tile(layer, eb, l1_cap)
-
         placements.append(LayerPlacement(
-            name=layer.name, weight_home=weight_home,
-            input_home=_read_home(homes, evictions, layer.inputs[0], i),
-            output_home=homes[layer.name], tile=tile, fused_input=fused_input,
+            name, weight_home, _read_home(homes, evictions, row.layer.inputs[0], i),
+            homes[name], tile, row.fused,
         ))
-        for name in dying.get(i, ()):  # the tensors that die at this layer
+        for dead in row.dying:  # the tensors that die at this layer
             for tier, tensors in live.items():
-                if name in tensors:
-                    used[tier] -= tensors.pop(name)
+                if dead in tensors:
+                    used[tier] -= tensors.pop(dead)
 
     return Schedule(tuple(placements), homes, peak["l2"], peak["ext_ram"],
-                    evictions)
+                    evictions, l1_cap)
 
 
 def _dma(platform: PlatformModel, src: str, dst: str, nbytes: int,
@@ -338,81 +472,51 @@ def _mac_rates(platform: PlatformModel, engine_kind: str) -> dict[str, float]:
 def estimate_latency(schedule: Schedule, graph: LayerGraph,
                      platform: PlatformModel, budget: BudgetConfig) -> LatencyReport:
     """Per-layer compute/transfer cycles under the placement plan."""
-    eb = graph.element_bytes
+    table = layer_table(graph)
+    bills = table.at_cap(schedule.l1_bytes).bills
     overlap = budget.dma_overlap and platform.dma_overlap
-    costs = []
-    shapes = {"input": graph.input_shape}
-    for layer in graph.layers:
-        shapes[layer.name] = layer.out_shape
+    homes, evictions = schedule.tensor_homes, schedule.evictions
 
     evict_bytes: dict[int, int] = {}
-    for tensor, at in schedule.evictions.items():
-        evict_bytes[at] = evict_bytes.get(at, 0) + graph.tensor_bytes(shapes[tensor])
+    for tensor, at in evictions.items():
+        evict_bytes[at] = evict_bytes.get(at, 0) + table.nbytes[tensor]
 
     mac_rates = _mac_rates(platform, budget.engine)
     elementwise_rate = platform.engine("worker_cores").elementwise_bytes_per_cycle
-    total_macs = 0
-    for i, (layer, p) in enumerate(zip(graph.layers, schedule.placements)):
-        if layer.op_kind in CONV_KINDS:
-            macs = count_macs(layer)
-            total_macs += macs
-            compute = macs / mac_rates[layer.op_kind]
+    costs = []
+    for i, (row, bill, p) in enumerate(zip(table.rows, bills, schedule.placements)):
+        layer = row.layer
+        if row.conv:
+            compute = row.macs / mac_rates[layer.op_kind]
         elif layer.elementwise:
-            compute = max(layer.elems_in(), layer.elems_out()) / elementwise_rate
+            compute = row.elems / elementwise_rate
         else:
             compute = 0.0
 
-        tile = p.tile
         transfer = 0.0
-        copies = [0]  # external-RAM copies of each operand fetch and writeback
+        copies = 0  # most external-RAM copies of one operand fetch or writeback
         if i in evict_bytes:  # one-time L2 -> ext move that made room
             transfer += _dma(platform, "l2", "ext_ram", evict_bytes[i])[0]
 
-        # Loop order per layer is whichever re-fetches fewer bytes:
-        # input-stationary (weights re-stream once per spatial pass) or
-        # weight-stationary (input re-streams once per channel pass).
-        # Depthwise channels partition, so nothing re-fetches there.
-        wbytes = _weight_bytes(layer, eb)
-        in_refetch, w_refetch = 1, 1
-        if layer.op_kind in CONV_KINDS and layer.op_kind != "depthwise_conv2d":
-            in_stationary = wbytes * (tile.spatial_passes - 1)
-            w_stationary = sum(
-                graph.tensor_bytes(shapes[s]) for s in layer.inputs
-            ) * (tile.cout_passes - 1)
-            if in_stationary <= w_stationary:
-                w_refetch = tile.spatial_passes
-            else:
-                in_refetch = tile.cout_passes
-
-        for src in layer.inputs:
-            if src == p.fused_input:  # read from the producer's L1 tile
-                continue
-            c, h, w = shapes[src]
-            fetch_bytes = c * h * w * eb
-            if layer.op_kind in CONV_KINDS:
-                halo = max(_halo_rows(layer, tile.rows) * tile.spatial_passes - h, 0)
-                fetch_bytes = (fetch_bytes + c * halo * w * eb) * in_refetch
-            strided = tile.spatial_passes > 1 or in_refetch > 1
-            cycles, n = _dma(platform, schedule.home_at(src, i), "l1", fetch_bytes,
-                             c * tile.spatial_passes * in_refetch if strided else 1)
+        for src, fetch_bytes, rows in bill.fetches:
+            cycles, n = _dma(platform, _read_home(homes, evictions, src, i), "l1",
+                             fetch_bytes, rows)
             transfer += cycles
-            copies.append(n)
+            copies = max(copies, n)
 
-        if wbytes:
+        if row.weight_bytes:
             if p.weight_home == "l2":
-                transfer += _dma(platform, "flash", "l2", wbytes)[0]
-            transfer += _dma(platform, p.weight_home, "l1", wbytes * w_refetch)[0]
+                transfer += _dma(platform, "flash", "l2", row.weight_bytes)[0]
+            transfer += _dma(platform, p.weight_home, "l1", bill.weight_l1_bytes)[0]
 
-        if p.fused_input is None:  # a fused layer's output stays in its tile
-            cycles, n = _dma(platform, "l1", schedule.tensor_homes[layer.name],
-                             graph.tensor_bytes(layer.out_shape),
-                             layer.out_shape[0] * tile.spatial_passes
-                             if tile.spatial_passes > 1 else 1)
+        if row.fused is None:  # a fused layer's output stays in its tile
+            cycles, n = _dma(platform, "l1", homes[layer.name], row.out_bytes,
+                             bill.writeback_rows)
             transfer += cycles
-            copies.append(n)
+            copies = max(copies, n)
 
         # No external copy, each one contiguous, or some split into rows.
-        tclass = TRANSFER_CLASSES[min(max(copies), 2)]
+        tclass = TRANSFER_CLASSES[min(copies, 2)]
         total = max(compute, transfer) if overlap else compute + transfer
         costs.append(LayerCost(layer.name, tclass, compute, transfer, total))
 
@@ -429,7 +533,7 @@ def estimate_latency(schedule: Schedule, graph: LayerGraph,
         transfer_cycles=sum(c.transfer_cycles for c in costs),
         class_cycles=class_cycles,
         class_transfer_cycles=class_transfer,
-        total_macs=total_macs,
+        total_macs=table.macs_total,
         wall_time_s=total_cycles / platform.clock_hz,
     )
 

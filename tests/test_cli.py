@@ -7,7 +7,11 @@ import inspect
 import io
 import json
 import math
+import itertools
 import operator
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trapnode
 from trapnode.cli import _fixed_point, _sim_rows, build_parser, main
 from trapnode.cnngraph import SHIPPED_GRAPH, LayerGraph, graph_from_json
 from trapnode.detector import detect
@@ -225,6 +230,33 @@ def test_cnn_report_pinned(argv, digest, tmp_path):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+def test_cnn_sweep_reports_independent_of_call_order(tmp_path):
+    """The 96 points of the `node` design sweep and the default report, run
+    in one process forward and then in reverse, are byte-identical point by
+    point, and the default equals a fresh-process `cnn` run."""
+    points = [["--platform", platform, "--engine", engine, "--l1", str(l1),
+               "--l2", str(l2)] + dma
+              for platform, engines in (("gap9", ("conv_accelerator", "worker_cores")),
+                                        ("gap8", ("worker_cores",)))
+              for engine, l1, l2, dma in itertools.product(
+                  engines, (46_700, 64_000, 90_000, 115_600),
+                  (267_000, 512_000, 800_000, 1_200_000),
+                  ([], ["--no-dma-overlap"]))]
+    points.append([])
+    assert len(points) == 97
+    out = tmp_path / "cnn.csv"
+    forward = [run_to_file(["cnn"] + argv, out) for argv in points]
+    reverse = [run_to_file(["cnn"] + argv, out) for argv in reversed(points)]
+    assert reverse[::-1] == forward
+    src = Path(trapnode.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    fresh = tmp_path / "fresh.csv"
+    subprocess.run([sys.executable, "-m", "trapnode.cli", "cnn", "--out", str(fresh)],
+                   env=env, check=True)
+    assert fresh.read_bytes() == forward[-1]
+
+
 def test_cnn_gap8_l1_capped_at_tier_capacity(tmp_path):
     """gap8's L1 holds 64,000 B, so a larger --l1 plans the same tiles, and
     the manifest shows the overlap the model uses: gap8 has no DMA overlap."""
@@ -406,6 +438,34 @@ def test_power_rerun_byte_identical(tmp_path):
     assert a == b
 
 
+def _header(report: bytes) -> list[str]:
+    """The `#` lines above a report's first table row."""
+    lines = report.decode().splitlines()
+    return lines[:next(i for i, l in enumerate(lines) if not l.startswith("#"))]
+
+
+def test_power_manifest_names_every_resolved_parameter(tmp_path):
+    """Two runs that differ only in a payload size print different headers,
+    and every flag that changes the energy is written as a parameter."""
+    argv = ["power", "--policy", "image_per_detection"]
+    small = run_to_file(argv + ["--image-bytes", "5"], tmp_path / "a.csv")
+    large = run_to_file(argv + ["--image-bytes", "99999"], tmp_path / "b.csv")
+    assert b"\nradio,0.165000\n" in small and b"\nradio,3299.967000\n" in large
+    assert _header(small) != _header(large)
+    params = {l.split("=")[0][len("# param "):]
+              for l in small.decode().splitlines() if l.startswith("# param ")}
+    assert params == {"wake_period", "policy", "compute_mj", "camera_mj",
+                      "tx_mj_per_byte", "overhead_mj", "counter_bytes",
+                      "image_bytes", "detections_per_day", "sleep_uw",
+                      "battery_mah", "battery_v"}
+    trace = tmp_path / "trace.txt"
+    trace.write_text("3600\n")
+    sims = [run_to_file(["power", "--simulate", str(trace), "--horizon-days", days],
+                        tmp_path / f"s{days}.csv") for days in ("1", "2")]
+    assert b"\n# param horizon_days=1.0\n" in sims[0]
+    assert _header(sims[0]) != _header(sims[1])
+
+
 POWER_FLOATS = ["--compute-mj", "--camera-mj", "--tx-mj-per-byte",
                 "--wake-overhead-mj", "--wake-period", "--detections-per-day",
                 "--sleep-uw", "--battery-mah", "--battery-v", "--horizon-days"]
@@ -511,7 +571,7 @@ def test_power_simulate_report_pinned(tmp_path):
                        "--battery-mah", "150"], tmp_path / "sim.csv")
     assert out.decode().endswith("# battery_exhausted_at_s=2617470.000\n")
     assert hashlib.sha256(out).hexdigest() == (
-        "19c5dde7d33def8af4990498d76e771312ce8769c4d76177c1ac931f6bbea42e")
+        "f09df7eab4cdaa41056156be04a363d623623bf54d657725d6e23d4a70063846")
 
 
 def test_power_simulate_rounding_report_pinned(tmp_path, capsys):
@@ -526,7 +586,7 @@ def test_power_simulate_rounding_report_pinned(tmp_path, capsys):
     out = run_to_file(argv, tmp_path / "sim.csv")
     assert b"\n1000.100,1,160.827000,13319.168257\n" in out
     assert hashlib.sha256(out).hexdigest() == (
-        "768edbaaa8ea19c099d63889e1ef34f085b3584d686888ffa7ea1daab986f66c")
+        "3df27ffd6e6f60c8aa6acdc3ed30ddbdf422fa3080b980d1d7c299574237d348")
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == out

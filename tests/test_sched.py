@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trapnode import sched
 from trapnode.cnngraph import (CONV_KINDS, SHIPPED_GRAPH, Layer, LayerGraph,
                                conv_param_count, count_macs, load_graph)
 from trapnode.mcu import ComputeEngine, MemoryTier, PlatformModel, builtin_platform
@@ -445,3 +446,80 @@ def test_l1_tile_slice_matches_binary_search():
             l1 += 1
         # Every row count from none to the full height was met.
         assert outcomes == {None, *range(1, layer.out_shape[1] + 1)}, layer.name
+
+
+def _fresh(graph):
+    """An equal graph object, so its layer table is built anew."""
+    return LayerGraph(graph.name, graph.input_shape, graph.layers,
+                      graph.element_bytes)
+
+
+def test_alternating_graphs_get_their_own_tables():
+    """Two graph objects of one name and length, planned alternately, each
+    get their own schedule and report, equal to those from a freshly built
+    table."""
+    p = make_platform()
+    rng = np.random.default_rng(72)
+    graphs = [random_graph(rng, n_layers=8), random_graph(rng, n_layers=8)]
+    budget = BudgetConfig(l1_bytes=30_000, l2_bytes=50_000)
+    expected = []
+    for g in graphs:
+        fresh = _fresh(g)
+        schedule = plan_schedule(fresh, p, budget)
+        expected.append((schedule, estimate_latency(schedule, fresh, p, budget)))
+    for _ in range(2):
+        for g, (schedule, report) in zip(graphs, expected):
+            got = plan_schedule(g, p, budget)
+            assert got == schedule
+            assert estimate_latency(got, g, p, budget) == report
+            assert sched.layer_table(g).graph is g
+    assert expected[0][0] != expected[1][0]
+
+
+def test_l1_plan_error_is_not_cached():
+    """A cap that raises `L1PlanError` raises again on repeat and leaves a
+    later valid cap's plan as a fresh table gives it."""
+    g = chain_graph(channels=(256, 256), hw=64)
+    p = make_platform()
+    for _ in range(2):
+        with pytest.raises(L1PlanError, match="c1"):
+            plan_schedule(g, p, BudgetConfig(l1_bytes=100, l2_bytes=10_000_000))
+    assert 100 not in sched.layer_table(g)._caps
+    budget = BudgetConfig(l1_bytes=200_000, l2_bytes=10_000_000)
+    assert plan_schedule(g, p, budget) == plan_schedule(_fresh(g), p, budget)
+
+
+def test_layer_tables_stay_within_their_bounds():
+    """More graphs than `TABLE_CACHE_SIZE` and more L1 caps than
+    `CAPS_PER_TABLE` keep both caches at their bounds, and every plan
+    still equals a fresh table's."""
+    p = make_platform()
+    rng = np.random.default_rng(73)
+    graphs = [random_graph(rng) for _ in range(sched.TABLE_CACHE_SIZE + 3)]
+    budget = BudgetConfig(l1_bytes=4_000, l2_bytes=20_000)
+    for g in graphs:
+        assert plan_schedule(g, p, budget) == plan_schedule(_fresh(g), p, budget)
+        assert len(sched._TABLES) <= sched.TABLE_CACHE_SIZE
+    assert sched.layer_table(graphs[-1]) is sched.layer_table(graphs[-1])
+    g = graphs[-1]
+    for l1 in range(4_000, 4_000 + 100 * (sched.CAPS_PER_TABLE + 3), 100):
+        budget = BudgetConfig(l1_bytes=l1, l2_bytes=20_000)
+        assert plan_schedule(g, p, budget) == plan_schedule(_fresh(g), p, budget)
+        assert len(sched.layer_table(g)._caps) <= sched.CAPS_PER_TABLE
+    assert len(sched.layer_table(g)._caps) == sched.CAPS_PER_TABLE
+
+
+def test_result_rows_are_immutable():
+    g = chain_graph()
+    p = make_platform()
+    budget = BudgetConfig(l1_bytes=50_000, l2_bytes=1_000_000)
+    schedule = plan_schedule(g, p, budget)
+    placement = schedule.placements[0]
+    with pytest.raises(AttributeError):
+        placement.weight_home = "l2"
+    with pytest.raises(AttributeError):
+        placement.tile.rows = 1
+    with pytest.raises(AttributeError):
+        estimate_latency(schedule, g, p, budget).layers[0].total_cycles = 0.0
+    assert placement == (placement.name, placement.weight_home, placement.input_home,
+                         placement.output_home, placement.tile, None)
