@@ -295,12 +295,11 @@ class LayerTable:
             # in L1 before writeback, so elementwise consumers fetch them for
             # free.
             prev = layers[i - 1].name if i else None
-            conv = layer.op_kind in CONV_KINDS
             rows.append(_LayerRow(
                 layer=layer,
                 fused=prev if layer.elementwise and prev in layer.inputs else None,
                 chained=uses[layer.name] == [i + 1] and layers[i + 1].elementwise,
-                conv=conv,
+                conv=layer.op_kind in CONV_KINDS,
                 out_bytes=graph.tensor_bytes(layer.out_shape),
                 weight_bytes=_weight_bytes(layer, eb),
                 macs=count_macs(layer),
