@@ -65,6 +65,11 @@ class ComputeEngine:
             raise ValueError("depthwise_derate must be in (0, 1]")
         if not (0.0 < self.utilization_std <= 1.0 and 0.0 < self.utilization_dw <= 1.0):
             raise ValueError("utilizations must be in (0, 1]")
+        # The MAC rates the latency model divides by, each a product that
+        # can underflow to zero on a tiny peak.
+        if not (self.peak_mac_per_cycle * self.utilization_std > 0
+                and self.peak_mac_per_cycle * self.depthwise_derate * self.utilization_dw > 0):
+            raise ValueError("peak_mac_per_cycle is too small for its derate and utilizations")
         if self.elementwise_bytes_per_cycle <= 0:
             raise ValueError("elementwise_bytes_per_cycle must be positive")
 

@@ -153,3 +153,13 @@ def test_platform_from_json_rejects_mistyped_field(doc, named):
     with pytest.raises(ValueError) as info:
         platform_from_json(json.dumps(doc))
     assert str(info.value) == named
+
+
+def test_platform_from_json_rejects_peak_whose_rate_underflows():
+    """A positive peak so small that peak * derate * utilization rounds to
+    zero raises a ValueError, instead of a ZeroDivisionError when the
+    latency model divides by that rate."""
+    doc = gap9_doc()
+    doc["engines"][1]["peak_mac_per_cycle"] = 5e-324
+    with pytest.raises(ValueError, match="peak_mac_per_cycle is too small"):
+        platform_from_json(json.dumps(doc))
